@@ -44,6 +44,7 @@
 
 open Dpoaf_driving
 module Dom = Dpoaf_domain.Domain
+module Driving = (val Dpoaf_domain.Pack_driving.pack : Dom.S)
 module Pipeline = Dpoaf_pipeline
 module Trainer = Dpoaf_dpo.Trainer
 module MC = Dpoaf_automata.Model_checker
@@ -146,8 +147,8 @@ let worked_example name title scenario before after highlight =
       Table.create [ "response"; "scenario"; "universal"; "failing (scenario)" ]
     in
     let row label steps =
-      let controller, _ = Evaluate.controller_of_steps ~name:label steps in
-      let verdicts = Evaluate.verdicts ~model:(Models.model scenario) controller in
+      let controller, _ = Driving.controller_of_steps ~name:label steps in
+      let verdicts = MC.verify_all ~model:(Models.model scenario) ~controller ~specs:Specs.all in
       let failing =
         List.filter_map
           (fun (n, _, v) -> if MC.is_holds v then None else Some n)
@@ -157,7 +158,7 @@ let worked_example name title scenario before after highlight =
         [
           label;
           Printf.sprintf "%d/15" (15 - List.length failing);
-          Printf.sprintf "%d/15" (Evaluate.count_specs controller);
+          Printf.sprintf "%d/15" (MC.count_satisfied ~model:(Models.universal ()) ~controller ~specs:Specs.all);
           (if failing = [] then "-" else String.concat " " failing);
         ];
       controller
@@ -333,7 +334,7 @@ let fig11 () =
   if section "fig11" "Empirical P_Φ before vs after fine-tuning (Figure 11)" then begin
     let rollouts = if fast then 150 else 500 in
     let model = Models.model Models.Traffic_light in
-    let mk name steps = fst (Evaluate.controller_of_steps ~name steps) in
+    let mk name steps = fst (Driving.controller_of_steps ~name steps) in
     let config =
       { Dpoaf_sim.Empirical.rollouts; steps = 40;
         noise = { Dpoaf_sim.World.miss_rate = 0.02; false_rate = 0.01 }; seed = 7 }
@@ -551,7 +552,7 @@ let shield_section () =
     let rollouts = if fast then 150 else 500 in
     let model = Models.model Models.Traffic_light in
     let controller, _ =
-      Evaluate.controller_of_steps ~name:"before" Responses.right_turn_before_ft
+      Driving.controller_of_steps ~name:"before" Responses.right_turn_before_ft
     in
     let shield =
       Dpoaf_sim.Shield.create ~specs:(List.map snd Specs.all) ~actions:Vocab.actions
@@ -768,7 +769,7 @@ let speedup () =
     let rollouts = if fast then 300 else 1000 in
     let model = Models.model Models.Traffic_light in
     let controller, _ =
-      Evaluate.controller_of_steps ~name:"after" Responses.right_turn_after_ft
+      Driving.controller_of_steps ~name:"after" Responses.right_turn_after_ft
     in
     let config =
       { Dpoaf_sim.Empirical.rollouts; steps = 40;
@@ -1189,7 +1190,7 @@ let micro () =
     let model = Models.model Models.Traffic_light in
     let universal = Models.universal () in
     let controller, _ =
-      Evaluate.controller_of_steps ~name:"after" Responses.right_turn_after_ft
+      Driving.controller_of_steps ~name:"after" Responses.right_turn_after_ft
     in
     let phi12 = Specs.phi 12 in
     let corpus = Pipeline.Corpus.build () in
@@ -1218,7 +1219,7 @@ let micro () =
           Test.make ~name:"check-1-spec"
             (Staged.stage (fun () -> MC.check ~model ~controller phi12));
           Test.make ~name:"verify-15-specs-universal"
-            (Staged.stage (fun () -> Evaluate.count_specs ~model:universal controller));
+            (Staged.stage (fun () -> MC.count_satisfied ~model:universal ~controller ~specs:Specs.all));
           Test.make ~name:"ltlf-eval-40-steps"
             (Staged.stage (fun () -> Dpoaf_logic.Trace.eval_finite (Specs.phi 5) word));
           Test.make ~name:"sample-response"

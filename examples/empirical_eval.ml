@@ -10,10 +10,11 @@
 open Dpoaf_driving
 open Dpoaf_sim
 module Table = Dpoaf_util.Table
+module D = (val Dpoaf_domain.Pack_driving.pack : Dpoaf_domain.Domain.S)
 
 let () =
   let model = Models.model Models.Traffic_light in
-  let controller name steps = fst (Evaluate.controller_of_steps ~name steps) in
+  let controller name steps = fst (D.controller_of_steps ~name steps) in
   let before = controller "before" Responses.right_turn_before_ft in
   let after = controller "after" Responses.right_turn_after_ft in
 

@@ -10,13 +10,14 @@
 
 open Dpoaf_driving
 module MC = Dpoaf_automata.Model_checker
+module D = (val Dpoaf_domain.Pack_driving.pack : Dpoaf_domain.Domain.S)
 
 let evaluate title steps =
   Printf.printf "=== %s ===\n" title;
   List.iter (fun s -> Printf.printf "  %s\n" s) steps;
-  let controller, _ = Evaluate.controller_of_steps ~name:title steps in
+  let controller, _ = D.controller_of_steps ~name:title steps in
   let model = Models.model Models.Left_turn_light in
-  let verdicts = Evaluate.verdicts ~model controller in
+  let verdicts = MC.verify_all ~model ~controller ~specs:Specs.all in
   let failing =
     List.filter_map
       (fun (n, _, v) -> if MC.is_holds v then None else Some n)

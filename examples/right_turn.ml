@@ -14,6 +14,7 @@ open Dpoaf_driving
 module MC = Dpoaf_automata.Model_checker
 module Smv = Dpoaf_automata.Smv
 module SP = Dpoaf_lang.Step_parser
+module D = (val Dpoaf_domain.Pack_driving.pack : Dpoaf_domain.Domain.S)
 
 let show_response title steps =
   Printf.printf "=== %s ===\n" title;
@@ -28,9 +29,9 @@ let show_response title steps =
           Printf.printf "  %s   (degraded: %s)\n" (Dpoaf_lang.Clause.to_string c) why
       | SP.Failed why -> Printf.printf "  <dropped: %s>\n" why)
     steps;
-  let controller, _stats = Evaluate.controller_of_steps ~name:title steps in
+  let controller, _stats = D.controller_of_steps ~name:title steps in
   let model = Models.model Models.Traffic_light in
-  let verdicts = Evaluate.verdicts ~model controller in
+  let verdicts = MC.verify_all ~model ~controller ~specs:Specs.all in
   let sat = List.filter (fun (_, _, v) -> MC.is_holds v) verdicts in
   Printf.printf "satisfied %d/15 specifications; failing: %s\n\n"
     (List.length sat)

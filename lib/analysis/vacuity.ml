@@ -17,22 +17,19 @@ let reachable_labels (k : Kripke.t) =
   List.iter visit k.Kripke.initial;
   List.filteri (fun q _ -> seen.(q)) (Array.to_list k.Kripke.labels)
 
-let triggered_specs ~model ~controller ~specs =
-  let kripke = Product.to_kripke (Product.build ~model ~controller) in
+let vacuous_in kripke ~specs ~satisfied =
   let labels = reachable_labels kripke in
-  List.filter_map
-    (fun (name, phi) ->
-      match Option.bind (Spec_sanity.antecedent phi) Spec_sanity.guard_of_prop with
-      | None -> Some name (* no antecedent shape: conservatively "triggered" *)
-      | Some g ->
-          if List.exists (fun label -> Fsa.eval_guard g label) labels then
-            Some name
-          else None)
-    specs
+  let triggered (_, phi) =
+    match Option.bind (Spec_sanity.antecedent phi) Spec_sanity.guard_of_prop with
+    | None -> true (* no antecedent shape: conservatively "triggered" *)
+    | Some g -> List.exists (fun label -> Fsa.eval_guard g label) labels
+  in
+  let triggered = List.map fst (List.filter triggered specs) in
+  List.filter (fun name -> not (List.mem name triggered)) satisfied
 
 let vacuously_satisfied ~model ~controller ~specs ~satisfied =
-  let triggered = triggered_specs ~model ~controller ~specs in
-  List.filter (fun name -> not (List.mem name triggered)) satisfied
+  vacuous_in (Product.to_kripke (Product.build ~model ~controller)) ~specs
+    ~satisfied
 
 let diagnostics ~model ~controller ~specs ~satisfied =
   List.map

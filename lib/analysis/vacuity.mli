@@ -8,14 +8,17 @@
     training signal — {!Dpoaf_pipeline.Feedback} flags them through this
     module. *)
 
-val triggered_specs :
-  model:Dpoaf_automata.Ts.t ->
-  controller:Dpoaf_automata.Fsa.t ->
+val vacuous_in :
+  Dpoaf_automata.Kripke.t ->
   specs:(string * Dpoaf_logic.Ltl.t) list ->
+  satisfied:string list ->
   string list
-(** Names of specs whose antecedent some reachable product state triggers.
-    Specs without a propositional [□(a ⇒ c)] shape are conservatively
-    counted as triggered (never reported vacuous). *)
+(** The subset of [satisfied] whose antecedent no reachable state of the
+    product's Kripke encoding ({!Dpoaf_automata.Product.to_kripke})
+    triggers — in rule-book order (the order of [satisfied]).  Specs
+    without a propositional [□(a ⇒ c)] shape are conservatively counted
+    as triggered (never reported vacuous).  Takes the structure the
+    model checker already checked, so vacuity costs no second product. *)
 
 val vacuously_satisfied :
   model:Dpoaf_automata.Ts.t ->
@@ -23,8 +26,7 @@ val vacuously_satisfied :
   specs:(string * Dpoaf_logic.Ltl.t) list ->
   satisfied:string list ->
   string list
-(** The subset of [satisfied] whose antecedent never triggers — in
-    rule-book order (the order of [satisfied]). *)
+(** {!vacuous_in} on a freshly built product [model ⊗ controller]. *)
 
 val diagnostics :
   model:Dpoaf_automata.Ts.t ->

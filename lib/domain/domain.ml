@@ -12,7 +12,11 @@ type quality = Good | Risky | Bad
 
 type step = { text : string; quality : quality }
 
-type profile = { satisfied : string list; vacuous : string list }
+type profile = {
+  satisfied : string list;
+  violated : string list;
+  vacuous : string list;
+}
 
 module type S = sig
   val name : string
@@ -66,27 +70,32 @@ let find_task_exn ((module D : S) as d) id =
 let tasks_of_split (module D : S) split =
   List.filter (fun t -> t.split = split) D.tasks
 
-(* One explanation per violated specification: compile the response,
-   model-check the book, and translate every counterexample lasso into
-   the domain's response vocabulary.  Explain.explain replays the lasso
-   through Trace.eval_lasso before returning, so a lying explanation is
-   dropped rather than reported — the filter_map keeps the contract
-   "every returned explanation is replay-validated". *)
-let explain_steps (module D : S) ?model steps =
-  let model = match model with Some m -> m | None -> D.universal () in
-  let controller, _stats = D.controller_of_steps ~name:"response" steps in
-  let verdicts =
-    Dpoaf_automata.Model_checker.verify_all ~model ~controller
-      ~specs:(D.specs ())
+(* The one compile-and-check behind every counterexample: compile the
+   response, build the product once inside verify_all and check only the
+   requested specs.  Explain.explain replays each lasso through
+   Trace.eval_lasso before returning, so a lying explanation is dropped
+   rather than reported — the filter_map in [explain_steps] keeps the
+   contract "every returned explanation is replay-validated". *)
+let counterexamples (module D : S) ?model ?only steps =
+  let specs =
+    match only with
+    | None -> D.specs ()
+    | Some names -> List.filter (fun (n, _) -> List.mem n names) (D.specs ())
   in
-  List.filter_map
-    (fun (name, phi, verdict) ->
-      match verdict with
-      | Dpoaf_automata.Model_checker.Holds -> None
-      | Dpoaf_automata.Model_checker.Fails cex ->
-          Dpoaf_analysis.Explain.explain ~spec:(name, phi) ~actions:D.actions
-            cex)
-    verdicts
+  if specs = [] then []
+  else
+    let model = match model with Some m -> m | None -> D.universal () in
+    let controller, _stats = D.controller_of_steps ~name:"response" steps in
+    Dpoaf_automata.Model_checker.verify_all ~model ~controller ~specs
+    |> List.filter_map (fun (name, phi, verdict) ->
+           match verdict with
+           | Dpoaf_automata.Model_checker.Holds -> None
+           | Dpoaf_automata.Model_checker.Fails cex -> Some (name, phi, cex))
+
+let explain_steps ((module D : S) as d) ?model ?only steps =
+  counterexamples d ?model ?only steps
+  |> List.filter_map (fun (name, phi, cex) ->
+         Dpoaf_analysis.Explain.explain ~spec:(name, phi) ~actions:D.actions cex)
 
 (* [None] and ["universal"] both select the integrated model; any other
    name must be one of the domain's scenarios.  The strict error carries

@@ -23,10 +23,16 @@ type step = { text : string; quality : quality }
 
 type profile = {
   satisfied : string list;  (** spec names, in rule-book order *)
+  violated : string list;  (** the complementary names, same order *)
   vacuous : string list;
       (** subset of [satisfied] holding only vacuously (the antecedent
-          never triggers in the product) *)
+          never triggers in the product, {!Dpoaf_analysis.Vacuity}) *)
 }
+(** Which of the rule book's specifications a response's controller
+    satisfies.  Invariant: [satisfied] and [violated] partition the rule
+    book, so [List.length satisfied] is the response's score;
+    [vacuous ⊆ satisfied].  The one profile record of the repository:
+    feedback, refinement and serving all read it. *)
 
 module type S = sig
   val name : string
@@ -80,7 +86,8 @@ module type S = sig
   val profile_of_steps :
     ?model:Dpoaf_automata.Ts.t -> string list -> profile
   (** Parse, compile, verify and vacuity-check in one memoized call;
-      [model] defaults to {!universal}. *)
+      [model] defaults to {!universal}.  Every pack builds this through
+      {!Eval.make}. *)
 
   val profile_of_controller :
     ?model:Dpoaf_automata.Ts.t -> Dpoaf_automata.Fsa.t -> profile
@@ -110,17 +117,31 @@ val find_task_exn : t -> string -> task
 
 val tasks_of_split : t -> split -> task list
 
+val counterexamples :
+  t ->
+  ?model:Dpoaf_automata.Ts.t ->
+  ?only:string list ->
+  string list ->
+  (string * Dpoaf_logic.Ltl.t * Dpoaf_automata.Model_checker.counterexample)
+  list
+(** Compile the response once and model-check the rule book's specs
+    named in [only] (default: all of them) on one product; one
+    [(name, formula, lasso)] per failing spec, in rule-book order
+    ([model] defaults to the universal one).  [~only:[]] checks nothing
+    and builds nothing. *)
+
 val explain_steps :
   t ->
   ?model:Dpoaf_automata.Ts.t ->
+  ?only:string list ->
   string list ->
   Dpoaf_analysis.Explain.t list
 (** One replay-validated counterexample explanation per violated
-    specification of the response, in rule-book order ([model] defaults
-    to the universal one).  A cold path — no memoization: callers
-    (serving [explain:true], provenance for pair losers, [dpoaf_cli
-    analyze --explain]) ask for explanations far more rarely than for
-    profiles. *)
+    specification of the response named in [only] (default: all), in
+    rule-book order — {!counterexamples}, rendered.  A cold path — no
+    memoization: callers (serving [explain:true], provenance for pair
+    losers, [dpoaf_cli analyze --explain]) ask for explanations far more
+    rarely than for profiles. *)
 
 val model_of_scenario :
   t -> string option -> (Dpoaf_automata.Ts.t, string) result

@@ -1,12 +1,12 @@
-(* Generic step-text → spec-verdict evaluator, shared by the non-driving
-   packs.  This is Dpoaf_driving.Evaluate with the driving constants
-   factored out: a mutex-guarded memoized lexicon (Lazy.force is unsafe
-   under concurrent forcing in OCaml 5), GLM2FSA compilation, model
-   checking over the pack's rule book, vacuity provenance, and a bounded
-   profile cache keyed by (model name, steps). *)
+(* The step-text → spec-verdict evaluator of every pack: a mutex-guarded
+   memoized lexicon (Lazy.force is unsafe under concurrent forcing in
+   OCaml 5), GLM2FSA compilation, one product per profiled controller —
+   the rule book is model-checked and vacuity is read on the same Kripke
+   structure — and a bounded profile cache keyed by (model name, steps). *)
 
 module Glm2fsa = Dpoaf_lang.Glm2fsa
 module Model_checker = Dpoaf_automata.Model_checker
+module Product = Dpoaf_automata.Product
 module Cache = Dpoaf_exec.Cache
 
 type t = {
@@ -38,17 +38,24 @@ let make ~name ~make_lexicon ~specs ~universal =
   let profile_of_controller ?model controller =
     let model = match model with Some m -> m | None -> universal () in
     let specs = specs () in
-    let satisfied =
-      Model_checker.verify_all ~model ~controller ~specs
-      |> List.filter_map (fun (n, _, v) ->
-             if Model_checker.is_holds v then Some n else None)
+    let kripke = Product.to_kripke (Product.build ~model ~controller) in
+    let satisfied, violated =
+      List.partition_map
+        (fun (n, phi) ->
+          if Model_checker.is_holds (Model_checker.check_kripke kripke phi)
+          then Left n
+          else Right n)
+        specs
     in
     let vacuous =
-      Dpoaf_analysis.Vacuity.vacuously_satisfied ~model ~controller ~specs
-        ~satisfied
+      Dpoaf_analysis.Vacuity.vacuous_in kripke ~specs ~satisfied
     in
-    { Domain.satisfied; vacuous }
+    { Domain.satisfied; violated; vacuous }
   in
+  (* Spec evaluation is pure in (model, steps), and model names are unique
+     per scenario (and "universal"), so they key the model side cheaply.
+     The cache is bounded: distinct step lists are effectively unbounded
+     across long sampling runs. *)
   let profile_cache : (string * string list, Domain.profile) Cache.t =
     Cache.create ~capacity:65536 ~name:(Printf.sprintf "eval.profile.%s" name) ()
   in

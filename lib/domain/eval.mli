@@ -1,8 +1,9 @@
-(** Generic verification-feedback path for a pack: parse steps with the
-    pack's lexicon, compile the GLM2FSA controller, model-check the rule
-    book and annotate vacuity — with the same memoization structure as
-    the driving pack's [Evaluate] (mutexed lexicon, bounded profile
-    cache [eval.profile.<domain>] keyed by (model name, steps)). *)
+(** The verification-feedback path of every pack (§4.2): parse steps
+    with the pack's lexicon, compile the GLM2FSA controller, build the
+    product with the world model once, model-check the rule book on it
+    and read vacuity ({!Dpoaf_analysis.Vacuity.vacuous_in}) from the same
+    Kripke structure.  One mutexed lexicon and one bounded profile cache
+    [eval.profile.<domain>] keyed by (model name, steps) per pack. *)
 
 type t = {
   lexicon : unit -> Dpoaf_lang.Lexicon.t;
@@ -24,7 +25,8 @@ val make :
   t
 (** All four entry points share one lexicon and one profile cache;
     [specs] and [universal] are called lazily (first use), so
-    constructing the evaluator is free. *)
+    constructing the evaluator is free.  [profile_of_controller] is the
+    unmemoized path; [profile_of_steps] memoizes it. *)
 
 val memoized : (unit -> 'a) -> unit -> 'a
 (** Mutex-guarded lazy memoization — the OCaml 5-safe replacement for a

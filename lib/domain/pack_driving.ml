@@ -1,12 +1,11 @@
-(* The autonomous-driving pack: a thin adapter over lib/driving, so
-   behavior behind the Domain interface is bit-identical to the direct
-   modules — same task order, same candidate-step texts, same lexicon and
-   world-model caches, same memoized evaluation paths. *)
+(* The autonomous-driving pack: an adapter over lib/driving's vocabulary,
+   tasks, rule book, world models and response pools (same task order,
+   same candidate-step texts, same world-model caches), verified through
+   Eval.make like every other pack. *)
 
 module Tasks = Dpoaf_driving.Tasks
 module Models = Dpoaf_driving.Models
 module Responses = Dpoaf_driving.Responses
-module Evaluate = Dpoaf_driving.Evaluate
 
 let task_of_driving (t : Tasks.t) =
   {
@@ -29,13 +28,19 @@ let step_of_driving (s : Responses.step) =
       | Responses.Bad -> Domain.Bad);
   }
 
+let specs () = Dpoaf_driving.Specs.all
+
+let eval =
+  Eval.make ~name:"driving" ~make_lexicon:Dpoaf_driving.Vocab.lexicon ~specs
+    ~universal:Models.universal
+
 module M : Domain.S = struct
   let name = "driving"
   let propositions = Dpoaf_driving.Vocab.propositions
   let actions = Dpoaf_driving.Vocab.actions
-  let lexicon = Evaluate.lexicon
+  let lexicon = eval.Eval.lexicon
   let tasks = List.map task_of_driving Tasks.all
-  let specs () = Dpoaf_driving.Specs.all
+  let specs = specs
   let scenarios = List.map Models.scenario_name Models.all_scenarios
 
   let model scenario_name =
@@ -57,15 +62,9 @@ module M : Domain.S = struct
       ("left_turn_after_ft", Responses.left_turn_after_ft);
     ]
 
-  let controller_of_steps = Evaluate.controller_of_steps
-
-  let profile_of_steps ?model steps =
-    let p = Evaluate.profile_of_steps ?model steps in
-    { Domain.satisfied = p.Evaluate.satisfied; vacuous = p.Evaluate.vacuous }
-
-  let profile_of_controller ?model controller =
-    let p = Evaluate.profile_of_controller ?model controller in
-    { Domain.satisfied = p.Evaluate.satisfied; vacuous = p.Evaluate.vacuous }
+  let controller_of_steps = eval.Eval.controller_of_steps
+  let profile_of_steps = eval.Eval.profile_of_steps
+  let profile_of_controller = eval.Eval.profile_of_controller
 end
 
 let pack : Domain.t = (module M)

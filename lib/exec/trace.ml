@@ -14,7 +14,7 @@
 
    Timestamps come from [Unix.gettimeofday] (there is no monotonic clock in
    the OCaml standard library); they are rebased onto the trace epoch — the
-   moment [enable] was called — and exported in microseconds, the unit of
+   first [enable], or the last [reset] — and exported in microseconds, the unit of
    the Chrome trace-event format. *)
 
 module Json = Dpoaf_util.Json
@@ -31,7 +31,7 @@ type event = {
 }
 
 let enabled_flag = Atomic.make false
-let epoch = Atomic.make 0.0
+let epoch = Atomic.make 0.0 (* 0.0 until the first [enable] or [reset] *)
 let next_id = Atomic.make 0
 
 type buffer = { mutable events : event list; bmutex : Mutex.t }
@@ -53,9 +53,11 @@ let current_key = Domain.DLS.new_key (fun () -> ref (-1))
 
 let enabled () = Atomic.get enabled_flag
 
+(* Re-enabling after [disable] keeps the epoch: spans from both sides of
+   the gap share one buffer, so they must share one time base too. *)
 let enable () =
   if not (Atomic.get enabled_flag) then begin
-    Atomic.set epoch (Unix.gettimeofday ());
+    if Atomic.get epoch = 0.0 then Atomic.set epoch (Unix.gettimeofday ());
     Atomic.set enabled_flag true
   end
 

@@ -33,7 +33,9 @@ type event = {
 }
 
 val enable : unit -> unit
-(** Start tracing (idempotent); sets the trace epoch on the first call. *)
+(** Start tracing (idempotent); sets the trace epoch on the first call
+    only, so spans recorded across a {!disable}/[enable] gap share one
+    time base.  {!reset} restarts the epoch. *)
 
 val disable : unit -> unit
 val enabled : unit -> bool

@@ -6,7 +6,7 @@ module Trace = Dpoaf_exec.Trace
 (* (task id, tokens, hardened?) — the full identity of a scoring request *)
 type key = string * int list * bool
 
-type profile = {
+type profile = Domain.profile = {
   satisfied : string list;
   violated : string list;
   vacuous : string list;
@@ -16,7 +16,6 @@ type t = {
   domain : Domain.t;
   model : Dpoaf_automata.Ts.t;
   cache : (key, profile) Cache.t;
-  spec_names : string list;
   (* aggregate across domains + a per-domain twin, so `dpoaf_cli report`
      can break the feedback tables down by domain *)
   responses_scored_dom : Metrics.counter;
@@ -27,14 +26,6 @@ type t = {
 
 let responses_scored = Metrics.counter "feedback.responses_scored"
 let score_latency = Metrics.histogram "feedback.score"
-
-let profile_of_domain t (p : Domain.profile) =
-  {
-    satisfied = p.Domain.satisfied;
-    violated =
-      List.filter (fun n -> not (List.mem n p.Domain.satisfied)) t.spec_names;
-    vacuous = p.Domain.vacuous;
-  }
 
 let create ?model ?domain () =
   let domain =
@@ -52,7 +43,6 @@ let create ?model ?domain () =
     domain;
     model;
     cache = Cache.create ~name:"feedback.scores" ();
-    spec_names;
     responses_scored_dom =
       Metrics.counter (Printf.sprintf "feedback.responses_scored.%s" D.name);
     score_latency_dom =
@@ -74,7 +64,7 @@ let domain t = t.domain
 
 let score_steps t ~task_id:_ steps =
   let (module D : Domain.S) = t.domain in
-  List.length (D.profile_of_steps ~model:t.model steps).Domain.satisfied
+  List.length (D.profile_of_steps ~model:t.model steps).satisfied
 
 let profile_of_clauses t clauses =
   let (module D : Domain.S) = t.domain in
@@ -93,11 +83,11 @@ let cached t ~task_id key compute =
       let p =
         Cache.find_or_add t.cache key (fun () ->
             let t0 = Unix.gettimeofday () in
-            let domain_profile = compute () in
+            let p = compute () in
             let dt = Unix.gettimeofday () -. t0 in
             Metrics.observe score_latency dt;
             Metrics.observe t.score_latency_dom dt;
-            profile_of_domain t domain_profile)
+            p)
       in
       List.iter
         (fun name ->

@@ -19,19 +19,14 @@
 
 type t
 
-type profile = {
-  satisfied : string list;  (** spec names, in rule-book order *)
-  violated : string list;  (** the complementary names, same order *)
+type profile = Dpoaf_domain.Domain.profile = {
+  satisfied : string list;
+  violated : string list;
   vacuous : string list;
-      (** subset of [satisfied] holding only vacuously — the antecedent of
-          the specification never triggers in the product
-          ({!Dpoaf_analysis.Vacuity}); such "satisfactions" carry no
-          information about the response's behaviour *)
 }
-(** Which of the domain's specifications a response's controller
-    satisfied.  Invariant: [satisfied] and [violated] partition the rule
-    book, so [List.length satisfied] is exactly the response's score;
-    [vacuous ⊆ satisfied]. *)
+(** The pack's profile ({!Dpoaf_domain.Domain.profile}), re-exported so
+    field access reads [p.Feedback.satisfied]: which of the domain's
+    specifications a response's controller satisfied. *)
 
 val create :
   ?model:Dpoaf_automata.Ts.t -> ?domain:Dpoaf_domain.Domain.t -> unit -> t

@@ -2,126 +2,33 @@
 
    Every accepted refinement round yields one (original, repaired) pair
    with full per-spec provenance (Pref_data.harvested); the serving
-   engine appends it here from worker domains, so records buffer in a
-   ring under a mutex and the daemon's select loop flushes once per turn
-   — mirroring the ops journal's write path.  If the ring fills between
-   flushes, [append] flushes synchronously instead of dropping: a
-   training-data store that silently loses pairs under load defeats its
-   purpose.
+   engine appends it from worker domains through
+   Dpoaf_exec.Rotating_jsonl, the same ring-and-rotation writer as the
+   ops journal, and the daemon's select loop flushes once per turn.
 
    Unlike the journal, records carry no timestamp — a store record is a
    pure function of the request, which keeps harvested files
-   byte-comparable across runs and lets tests pin them.
-
-   Rotation is size-based and generation-shifting, exactly like the
-   journal ([path] -> [path.1] -> ... -> [path.keep]); the record format
-   itself (dpoaf-prefstore/1) lives in Dpoaf_dpo.Pref_data next to its
-   reader, so writer and reader cannot drift apart. *)
+   byte-comparable across runs and lets tests pin them.  The record
+   format itself (dpoaf-prefstore/1) lives in Dpoaf_dpo.Pref_data next to
+   its reader, so writer and reader cannot drift apart. *)
 
 module Json = Dpoaf_util.Json
 module Metrics = Dpoaf_exec.Metrics
 module Pref_data = Dpoaf_dpo.Pref_data
+module Log = Dpoaf_exec.Rotating_jsonl
 
-type config = { path : string; max_bytes : int; keep : int; ring_capacity : int }
-
-type t = {
-  config : config;
-  ring : Pref_data.harvested Queue.t;
-  mutable oc : out_channel option;
-  mutable size : int; (* bytes written to the current file *)
-  mutable closed : bool;
-  smutex : Mutex.t;
-}
+type t = Pref_data.harvested Log.t
 
 let records_c = Metrics.counter "prefstore.records"
 let rotations_c = Metrics.counter "prefstore.rotations"
 
-let create ?(max_bytes = 1 lsl 20) ?(keep = 3) ?(ring_capacity = 256) path =
-  if max_bytes < 1 then invalid_arg "Pref_store.create: max_bytes must be >= 1";
-  if keep < 1 then invalid_arg "Pref_store.create: keep must be >= 1";
-  if ring_capacity < 1 then
-    invalid_arg "Pref_store.create: ring_capacity must be >= 1";
-  {
-    config = { path; max_bytes; keep; ring_capacity };
-    ring = Queue.create ();
-    oc = None;
-    size = 0;
-    closed = false;
-    smutex = Mutex.create ();
-  }
+let create ?max_bytes ?keep ?(ring_capacity = 256) path =
+  Log.create ~who:"Pref_store.create"
+    ~encode:(fun h -> Json.to_string (Pref_data.json_of_harvested h))
+    ~records:records_c ~rotations:rotations_c ?max_bytes ?keep ~ring_capacity
+    path
 
-let path t = t.config.path
-
-let gen_path t i =
-  if i = 0 then t.config.path else Printf.sprintf "%s.%d" t.config.path i
-
-let close_current_locked t =
-  match t.oc with
-  | Some oc ->
-      close_out_noerr oc;
-      t.oc <- None;
-      t.size <- 0
-  | None -> ()
-
-let rotate_locked t =
-  close_current_locked t;
-  for i = t.config.keep - 1 downto 0 do
-    let src = gen_path t i in
-    if Sys.file_exists src then Sys.rename src (gen_path t (i + 1))
-  done;
-  Metrics.incr rotations_c
-
-let ensure_open_locked t =
-  match t.oc with
-  | Some oc -> oc
-  | None ->
-      let oc =
-        open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 t.config.path
-      in
-      t.size <- (try out_channel_length oc with Sys_error _ -> 0);
-      t.oc <- Some oc;
-      oc
-
-let write_locked t h =
-  let line = Json.to_string (Pref_data.json_of_harvested h) in
-  let len = String.length line + 1 in
-  let oc =
-    let oc = ensure_open_locked t in
-    if t.size > 0 && t.size + len > t.config.max_bytes then begin
-      rotate_locked t;
-      ensure_open_locked t
-    end
-    else oc
-  in
-  output_string oc line;
-  output_char oc '\n';
-  t.size <- t.size + len
-
-let flush_locked t =
-  if not (Queue.is_empty t.ring) then begin
-    Queue.iter (write_locked t) t.ring;
-    Queue.clear t.ring;
-    match t.oc with Some oc -> flush oc | None -> ()
-  end
-
-let with_lock t f =
-  Mutex.lock t.smutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.smutex) f
-
-let append t h =
-  with_lock t (fun () ->
-      if not t.closed then begin
-        Queue.push h t.ring;
-        Metrics.incr records_c;
-        if Queue.length t.ring >= t.config.ring_capacity then flush_locked t
-      end)
-
-let flush t = with_lock t (fun () -> if not t.closed then flush_locked t)
-
-let close t =
-  with_lock t (fun () ->
-      if not t.closed then begin
-        flush_locked t;
-        close_current_locked t;
-        t.closed <- true
-      end)
+let append t h = Log.push t (fun () -> h)
+let flush = Log.flush
+let close = Log.close
+let path = Log.path

@@ -4,11 +4,11 @@
     {!Dpoaf_dpo.Pref_data.harvested} record (format [dpoaf-prefstore/1];
     the record encoding and its strict reader live in
     {!Dpoaf_dpo.Pref_data} so writer and reader cannot drift).  Records
-    buffer in a mutex-protected ring and reach disk on {!flush} — the
-    daemon flushes once per select turn — or synchronously when the ring
-    fills, so no pair is ever dropped.  Rotation is size-based with
-    shifted generations ([path] → [path.1] → … → [path.keep]), bounding
-    the store's footprint like the ops journal's.
+    go through {!Dpoaf_exec.Rotating_jsonl}, the ops journal's writer:
+    they reach disk on {!flush} — the daemon flushes once per select
+    turn — or synchronously when the ring fills, so no pair is ever
+    dropped, and files rotate by size ([path] → [path.1] → … →
+    [path.keep]).
 
     Records carry no timestamp: a store file is a pure function of the
     requests that produced it, byte-comparable across runs.

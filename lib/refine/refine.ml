@@ -30,7 +30,7 @@ module Metrics = Dpoaf_exec.Metrics
 module Rng = Dpoaf_util.Rng
 module Sampler = Dpoaf_lm.Sampler
 
-type profile = {
+type profile = Domain.profile = {
   satisfied : string list;
   violated : string list;
   vacuous : string list;
@@ -107,42 +107,24 @@ let create ~domain ?model ?cache ~sample () =
 
 let profile t steps =
   let (module D : Domain.S) = t.domain in
-  let p = D.profile_of_steps ~model:t.model steps in
-  {
-    satisfied = p.Domain.satisfied;
-    violated =
-      List.filter
-        (fun n -> not (List.mem n p.Domain.satisfied))
-        (Domain.spec_names t.domain);
-    vacuous = p.Domain.vacuous;
-  }
+  D.profile_of_steps ~model:t.model steps
 
 let explanations t ~violated steps =
-  if violated = [] then []
-  else begin
-    let (module D : Domain.S) = t.domain in
-    let controller, _ = D.controller_of_steps ~name:"refine" steps in
-    let specs = List.filter (fun (n, _) -> List.mem n violated) (D.specs ()) in
-    MC.verify_all ~model:t.model ~controller ~specs
-    |> List.filter_map (fun (name, phi, verdict) ->
-           match verdict with
-           | MC.Holds -> None
-           | MC.Fails cex ->
-               let key =
-                 ( name,
-                   List.map Symbol.elements cex.MC.prefix,
-                   List.map Symbol.elements cex.MC.cycle )
-               in
-               let text =
-                 Cache.find_or_add t.cache key (fun () ->
-                     Option.map
-                       (fun (e : Dpoaf_analysis.Explain.t) ->
-                         e.Dpoaf_analysis.Explain.text)
-                       (Dpoaf_analysis.Explain.explain ~spec:(name, phi)
-                          ~actions:D.actions cex))
-               in
-               Option.map (fun txt -> (name, txt)) text)
-  end
+  let (module D : Domain.S) = t.domain in
+  Domain.counterexamples t.domain ~model:t.model ~only:violated steps
+  |> List.filter_map (fun (name, phi, cex) ->
+         let key =
+           ( name,
+             List.map Symbol.elements cex.MC.prefix,
+             List.map Symbol.elements cex.MC.cycle )
+         in
+         Cache.find_or_add t.cache key (fun () ->
+             Option.map
+               (fun (e : Dpoaf_analysis.Explain.t) ->
+                 e.Dpoaf_analysis.Explain.text)
+               (Dpoaf_analysis.Explain.explain ~spec:(name, phi)
+                  ~actions:D.actions cex))
+         |> Option.map (fun text -> (name, text)))
 
 (* fewest violations first; ties by larger satisfied set, then by the
    earlier attempt — a total deterministic order over a round's candidates *)
@@ -281,11 +263,6 @@ let defect_pool ?model domain ~seed ~per_task =
               List.init n (fun _ -> (Rng.choice_list rng careless).Domain.text)
             in
             let p = D.profile_of_steps ~model steps in
-            let defective =
-              List.exists
-                (fun name -> not (List.mem name p.Domain.satisfied))
-                (Domain.spec_names domain)
-            in
-            if defective then Some (task, steps) else None)
+            if p.violated <> [] then Some (task, steps) else None)
           (List.init per_task Fun.id))
     D.tasks

@@ -16,11 +16,12 @@
     between candidates, so it cannot corrupt a trajectory, only truncate
     it. *)
 
-type profile = {
+type profile = Dpoaf_domain.Domain.profile = {
   satisfied : string list;
   violated : string list;  (** rule-book order *)
   vacuous : string list;
 }
+(** The pack's profile, re-exported for field access. *)
 
 type budget = {
   max_rounds : int;
@@ -101,9 +102,12 @@ val profile : t -> string list -> profile
 
 val explanations : t -> violated:string list -> string list -> (string * string) list
 (** The [(spec, text)] feedback for the named violated specs of a
-    response; rendering is memoized per (spec, lasso) in the refiner's
-    {!explain_cache}.  Specs whose explanation fails replay validation
-    are omitted — the loop never steers on a lying sentence. *)
+    response: {!Dpoaf_domain.Domain.counterexamples} [~only:violated]
+    (the compile-and-check behind
+    {!Dpoaf_domain.Domain.explain_steps}), with the rendering memoized
+    per (spec, lasso) in the refiner's {!explain_cache}.  Specs whose
+    explanation fails replay validation are omitted — the loop never
+    steers on a lying sentence. *)
 
 val run : ?budget:budget -> t -> string list -> outcome
 (** Refine one response.  A response that already verifies clean returns

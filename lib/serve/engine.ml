@@ -163,17 +163,19 @@ let request_counts t ~domain =
              | _ -> Some (name, Metrics.value st.requests))
            t.states)
 
-let profile_of_steps st ~model steps : Protocol.profile =
-  let (module D : Domain.S) = st.domain in
-  let spec_names = Domain.spec_names st.domain in
-  let p = D.profile_of_steps ~model steps in
+(* The one Domain.profile → wire mapping (verify, score_pair, generate
+   and refine all answer through it). *)
+let wire_profile (p : Domain.profile) : Protocol.profile =
   {
     Protocol.score = List.length p.Domain.satisfied;
     satisfied = p.Domain.satisfied;
-    violated =
-      List.filter (fun n -> not (List.mem n p.Domain.satisfied)) spec_names;
+    violated = p.Domain.violated;
     vacuous = p.Domain.vacuous;
   }
+
+let profile_of_steps st ~model steps =
+  let (module D : Domain.S) = st.domain in
+  wire_profile (D.profile_of_steps ~model steps)
 
 (* validate the request itself before reporting server-side limitations,
    so a typo'd task id gets the precise error even on a verify-only
@@ -214,19 +216,15 @@ let generate st ~task ~seed ~temperature : Protocol.body =
             Protocol.Generated { steps; tokens; profile }
           end)
 
-(* Explanations are a cold path (the explainer recompiles and re-checks
-   the steps), so they are computed only on request and only for the
-   named specs. *)
+(* Explanations are a cold path (one more compile and product, checking
+   only the named specs), so they are computed only on request. *)
 let explanations_for st ~model ~only steps : Protocol.explanation list =
-  Domain.explain_steps st.domain ~model steps
-  |> List.filter_map (fun (e : Dpoaf_analysis.Explain.t) ->
-         if only = [] || List.mem e.Dpoaf_analysis.Explain.spec only then
-           Some
-             {
-               Protocol.espec = e.Dpoaf_analysis.Explain.spec;
-               etext = e.Dpoaf_analysis.Explain.text;
-             }
-         else None)
+  Domain.explain_steps st.domain ~model ~only steps
+  |> List.map (fun (e : Dpoaf_analysis.Explain.t) ->
+         {
+           Protocol.espec = e.Dpoaf_analysis.Explain.spec;
+           etext = e.Dpoaf_analysis.Explain.text;
+         })
 
 let verify st ~scenario ~explain steps : Protocol.body =
   match Domain.model_of_scenario st.domain scenario with
@@ -298,14 +296,6 @@ let score_pair st ~scenario ~explain steps_a steps_b : Protocol.body =
 
 let refine_rounds_c = Metrics.counter "serve.refine.rounds"
 let refine_accepted_c = Metrics.counter "serve.refine.accepted"
-
-let wire_profile (p : Refine.profile) : Protocol.profile =
-  {
-    Protocol.score = List.length p.Refine.satisfied;
-    satisfied = p.Refine.satisfied;
-    violated = p.Refine.violated;
-    vacuous = p.Refine.vacuous;
-  }
 
 let refine t st ~id ~task ~steps ~seed ~scenario ~explain ~max_rounds ~attempts
     : Protocol.body =

@@ -1,127 +1,31 @@
-(* Bounded in-daemon event ring flushed to a rotating JSONL journal.
-
-   Worker domains emit events (request spans, admission rejects, deadline
-   expiries, batch coalesces, checkpoint loads, drains) into a ring buffer
-   under a mutex; the daemon's select loop flushes the ring to disk once
-   per turn, so the hot path never blocks on the filesystem.  If the ring
-   fills between flushes, [emit] flushes synchronously instead of dropping
-   — an ops journal that silently loses reject/expiry events under load is
-   worse than none.
-
-   Rotation is size-based: before a write that would push the current file
-   past [max_bytes], the file is closed and the generations shift
-   ([path] -> [path.1] -> ... -> [path.keep], the oldest falling off), so
-   the journal's total footprint is bounded at roughly
-   [(keep + 1) * max_bytes]. *)
+(* The daemon's event journal: serving events (request spans, admission
+   rejects, deadline expiries, batch coalesces, checkpoint loads, drains)
+   as timestamped JSONL lines through Dpoaf_exec.Rotating_jsonl — worker
+   domains emit into its ring, the daemon's select loop flushes once per
+   turn.  The timestamp is read under the writer's lock, so [ts] never
+   decreases down the file. *)
 
 module Json = Dpoaf_util.Json
 module Metrics = Dpoaf_exec.Metrics
-
-type config = { path : string; max_bytes : int; keep : int; ring_capacity : int }
+module Log = Dpoaf_exec.Rotating_jsonl
 
 type event = { ts : float; ev : string; attrs : (string * Json.t) list }
-
-type t = {
-  config : config;
-  ring : event Queue.t;
-  mutable oc : out_channel option;
-  mutable size : int; (* bytes written to the current file *)
-  mutable closed : bool;
-  jmutex : Mutex.t;
-}
+type t = event Log.t
 
 let events_c = Metrics.counter "journal.events"
 let rotations_c = Metrics.counter "journal.rotations"
-
-let create ?(max_bytes = 1 lsl 20) ?(keep = 3) ?(ring_capacity = 1024) path =
-  if max_bytes < 1 then invalid_arg "Journal.create: max_bytes must be >= 1";
-  if keep < 1 then invalid_arg "Journal.create: keep must be >= 1";
-  if ring_capacity < 1 then
-    invalid_arg "Journal.create: ring_capacity must be >= 1";
-  {
-    config = { path; max_bytes; keep; ring_capacity };
-    ring = Queue.create ();
-    oc = None;
-    size = 0;
-    closed = false;
-    jmutex = Mutex.create ();
-  }
-
-let path t = t.config.path
 
 let line_of e =
   Json.to_string
     (Json.obj (("ts", Json.num e.ts) :: ("ev", Json.str e.ev) :: e.attrs))
 
-let gen_path t i = if i = 0 then t.config.path else Printf.sprintf "%s.%d" t.config.path i
-
-let close_current_locked t =
-  match t.oc with
-  | Some oc ->
-      close_out_noerr oc;
-      t.oc <- None;
-      t.size <- 0
-  | None -> ()
-
-let rotate_locked t =
-  close_current_locked t;
-  for i = t.config.keep - 1 downto 0 do
-    let src = gen_path t i in
-    if Sys.file_exists src then Sys.rename src (gen_path t (i + 1))
-  done;
-  Metrics.incr rotations_c
-
-let ensure_open_locked t =
-  match t.oc with
-  | Some oc -> oc
-  | None ->
-      let oc =
-        open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 t.config.path
-      in
-      t.size <- (try out_channel_length oc with Sys_error _ -> 0);
-      t.oc <- Some oc;
-      oc
-
-let write_locked t e =
-  let line = line_of e in
-  let len = String.length line + 1 in
-  let oc =
-    let oc = ensure_open_locked t in
-    if t.size > 0 && t.size + len > t.config.max_bytes then begin
-      rotate_locked t;
-      ensure_open_locked t
-    end
-    else oc
-  in
-  output_string oc line;
-  output_char oc '\n';
-  t.size <- t.size + len
-
-let flush_locked t =
-  if not (Queue.is_empty t.ring) then begin
-    Queue.iter (write_locked t) t.ring;
-    Queue.clear t.ring;
-    match t.oc with Some oc -> flush oc | None -> ()
-  end
-
-let with_lock t f =
-  Mutex.lock t.jmutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.jmutex) f
+let create ?max_bytes ?keep ?(ring_capacity = 1024) path =
+  Log.create ~who:"Journal.create" ~encode:line_of ~records:events_c
+    ~rotations:rotations_c ?max_bytes ?keep ~ring_capacity path
 
 let emit t ev attrs =
-  with_lock t (fun () ->
-      if not t.closed then begin
-        Queue.push { ts = Unix.gettimeofday (); ev; attrs } t.ring;
-        Metrics.incr events_c;
-        if Queue.length t.ring >= t.config.ring_capacity then flush_locked t
-      end)
+  Log.push t (fun () -> { ts = Unix.gettimeofday (); ev; attrs })
 
-let flush t = with_lock t (fun () -> if not t.closed then flush_locked t)
-
-let close t =
-  with_lock t (fun () ->
-      if not t.closed then begin
-        flush_locked t;
-        close_current_locked t;
-        t.closed <- true
-      end)
+let flush = Log.flush
+let close = Log.close
+let path = Log.path

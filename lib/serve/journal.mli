@@ -6,17 +6,10 @@
 
     {v {"ts":<unix seconds>,"ev":"<event name>",...attributes} v}
 
-    {!emit} is safe from any domain and never drops an event: it buffers
-    into a ring and, if the ring is full, flushes synchronously.  The
-    owning loop (the daemon's select loop) calls {!flush} once per turn so
-    steady-state emission never touches the filesystem from worker
-    domains.
-
-    Files rotate by size: when a write would push the current file past
-    [max_bytes], generations shift [path → path.1 → … → path.keep] and the
-    oldest is dropped, bounding the footprint at about
-    [(keep + 1) * max_bytes].  Each file stays within [max_bytes] unless a
-    single line exceeds the cap on its own. *)
+    Buffering, rotation and the never-drop guarantee are
+    {!Dpoaf_exec.Rotating_jsonl}'s: {!emit} is safe from any domain, and
+    the owning loop (the daemon's select loop) calls {!flush} once per
+    turn. *)
 
 type t
 

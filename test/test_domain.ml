@@ -12,6 +12,10 @@ module Pref_data = Dpoaf_dpo.Pref_data
 module P = Dpoaf_serve.Protocol
 module Engine = Dpoaf_serve.Engine
 module Rng = Dpoaf_util.Rng
+module MC = Dpoaf_automata.Model_checker
+module Vacuity = Dpoaf_analysis.Vacuity
+module Explain = Dpoaf_analysis.Explain
+module Refine = Dpoaf_refine.Refine
 
 let contains hay needle =
   let h = String.length hay and n = String.length needle in
@@ -127,15 +131,68 @@ let arb_pack_response =
       Domain.name d ^ ": " ^ String.concat " / " steps)
     gen
 
+(* The reference profile: two products, as the packs once computed it —
+   [verify_all] on one, [Vacuity.vacuously_satisfied] on a fresh one —
+   with [violated] the rule book minus [satisfied], in rule-book order. *)
+let two_product_profile domain steps =
+  let (module D : Domain.S) = domain in
+  let model = D.universal () in
+  let controller, _ = D.controller_of_steps ~name:"response" steps in
+  let specs = D.specs () in
+  let satisfied =
+    MC.verify_all ~model ~controller ~specs
+    |> List.filter_map (fun (n, _, v) -> if MC.is_holds v then Some n else None)
+  in
+  {
+    Domain.satisfied;
+    violated =
+      List.filter (fun n -> not (List.mem n satisfied)) (Domain.spec_names domain);
+    vacuous = Vacuity.vacuously_satisfied ~model ~controller ~specs ~satisfied;
+  }
+
 let prop_profile_partitions =
   QCheck.Test.make ~count:120 ~name:"profile partitions any pack's rule book"
     arb_pack_response (fun (domain, steps) ->
       let (module D : Domain.S) = domain in
       let p = D.profile_of_steps steps in
       let names = Domain.spec_names domain in
-      List.for_all (fun n -> List.mem n names) p.Domain.satisfied
+      p = two_product_profile domain steps
+      && List.for_all (fun n -> List.mem n names) p.Domain.satisfied
       && List.for_all (fun n -> List.mem n p.Domain.satisfied) p.Domain.vacuous
-      && List.length p.Domain.satisfied <= Domain.spec_count domain)
+      && List.length p.Domain.satisfied + List.length p.Domain.violated
+         = Domain.spec_count domain)
+
+(* [~only] checks a subset of the rule book on the same product: the
+   explanations must be exactly the full list's, filtered *)
+let prop_explain_only_filters =
+  QCheck.Test.make ~count:40 ~name:"explain_steps ~only = full list filtered"
+    arb_pack_response (fun (domain, steps) ->
+      let (module D : Domain.S) = domain in
+      let full = Domain.explain_steps domain steps in
+      let violated = (D.profile_of_steps steps).Domain.violated in
+      let alternate = List.filteri (fun i _ -> i mod 2 = 0) violated in
+      List.for_all
+        (fun only ->
+          Domain.explain_steps domain ~only steps
+          = List.filter (fun (e : Explain.t) -> List.mem e.Explain.spec only) full)
+        [ violated; alternate; [] ])
+
+(* the refinement loop's feedback is the same compile-and-check, rendered
+   through its (spec, lasso) cache *)
+let prop_refine_explanations_agree =
+  QCheck.Test.make ~count:40 ~name:"Refine.explanations = explain_steps ~only"
+    arb_pack_response (fun (domain, steps) ->
+      let (module D : Domain.S) = domain in
+      let refiner =
+        Refine.create ~domain
+          ~sample:(fun ~feedback:_ ~round:_ ~attempt:_ -> steps)
+          ()
+      in
+      let violated = (D.profile_of_steps steps).Domain.violated in
+      Refine.explanations refiner ~violated steps
+      = List.map
+          (fun (e : Explain.t) -> (e.Explain.spec, e.Explain.text))
+          (Domain.explain_steps domain ~only:violated steps))
 
 (* ---------------- cross-domain pipeline determinism ---------------- *)
 
@@ -343,7 +400,12 @@ let () =
           Alcotest.test_case "spec_gen rejects a redundant suite" `Quick
             test_spec_gen_rejects_redundant_suite;
         ] );
-      qsuite "properties" [ prop_profile_partitions ];
+      qsuite "properties"
+        [
+          prop_profile_partitions;
+          prop_explain_only_filters;
+          prop_refine_explanations_agree;
+        ];
       ( "pipeline",
         [
           Alcotest.test_case "jobs-deterministic in every pack" `Slow

@@ -1,5 +1,6 @@
 open Dpoaf_driving
 module MC = Dpoaf_automata.Model_checker
+module D = (val Dpoaf_domain.Pack_driving.pack : Dpoaf_domain.Domain.S)
 module Ts = Dpoaf_automata.Ts
 module Symbol = Dpoaf_logic.Symbol
 module Ltl = Dpoaf_logic.Ltl
@@ -203,12 +204,12 @@ let test_tasks_have_candidates () =
 (* ---------------- §5.1 / Appendix C worked examples ---------------- *)
 
 let count_scenario steps scenario =
-  let ctrl, _ = Evaluate.controller_of_steps ~name:"t" steps in
-  Evaluate.count_specs ~model:(Models.model scenario) ctrl
+  let ctrl, _ = D.controller_of_steps ~name:"t" steps in
+  MC.count_satisfied ~model:(Models.model scenario) ~controller:ctrl ~specs:Specs.all
 
 let test_right_turn_before_fails_phi5 () =
   let ctrl, _ =
-    Evaluate.controller_of_steps ~name:"before" Responses.right_turn_before_ft
+    D.controller_of_steps ~name:"before" Responses.right_turn_before_ft
   in
   let verdict =
     MC.check ~model:(Models.model Models.Traffic_light) ~controller:ctrl (Specs.phi 5)
@@ -229,7 +230,7 @@ let test_right_turn_before_fails_phi5 () =
 let test_right_turn_blame () =
   (* the counterexample implicates the final turn step (step 5) *)
   let ctrl, _ =
-    Evaluate.controller_of_steps ~name:"before" Responses.right_turn_before_ft
+    D.controller_of_steps ~name:"before" Responses.right_turn_before_ft
   in
   match
     MC.check ~model:(Models.model Models.Traffic_light) ~controller:ctrl (Specs.phi 5)
@@ -254,7 +255,7 @@ let test_left_turn_example () =
   Alcotest.(check bool) "before fails some" true (before < 15);
   (* the paper highlights Φ12 *)
   let ctrl, _ =
-    Evaluate.controller_of_steps ~name:"before" Responses.left_turn_before_ft
+    D.controller_of_steps ~name:"before" Responses.left_turn_before_ft
   in
   Alcotest.(check bool) "phi_12 fails" false
     (MC.is_holds
@@ -273,9 +274,11 @@ let test_good_finals_beat_bad_finals () =
         | [] -> []
       in
       let count final =
-        Evaluate.count_specs_of_steps
-          ~model:(Models.model task.Tasks.scenario)
-          (obs @ [ final.Responses.text ])
+        List.length
+          (D.profile_of_steps
+             ~model:(Models.model task.Tasks.scenario)
+             (obs @ [ final.Responses.text ]))
+            .satisfied
       in
       let finals = Responses.finals task in
       let good = List.filter (fun s -> s.Responses.quality = Responses.Good) finals in
@@ -343,8 +346,8 @@ let test_parse_robust_to_detokenization () =
 let test_paper_examples_robust_to_detokenization () =
   let detok text = String.concat " " (Dpoaf_util.Strext.lowercase_words text) in
   let count steps scenario =
-    let c, _ = Evaluate.controller_of_steps ~name:"x" steps in
-    Evaluate.count_specs ~model:(Models.model scenario) c
+    let c, _ = D.controller_of_steps ~name:"x" steps in
+    MC.count_satisfied ~model:(Models.model scenario) ~controller:c ~specs:Specs.all
   in
   let pairs =
     [
@@ -361,7 +364,9 @@ let test_paper_examples_robust_to_detokenization () =
     pairs
 
 let test_evaluate_universal_default () =
-  let n = Evaluate.count_specs_of_steps Responses.right_turn_after_ft in
+  let n =
+    List.length (D.profile_of_steps Responses.right_turn_after_ft).satisfied
+  in
   Alcotest.(check bool) "against universal model" true (n >= 13 && n <= 15)
 
 let () =

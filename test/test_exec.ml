@@ -344,6 +344,22 @@ let test_trace_spans_cross_pool jobs () =
   Alcotest.(check bool) "sorted by ts" true
     (starts = List.sort compare starts)
 
+(* a disable/enable gap keeps the epoch: the span recorded after the gap
+   starts after the one recorded before it ends *)
+let test_trace_reenable_keeps_epoch () =
+  Trace.reset ();
+  Trace.enable ();
+  (Fun.protect ~finally:Trace.disable @@ fun () ->
+   Trace.with_span ~cat:"t" "before" (fun () -> Unix.sleepf 0.002));
+  Unix.sleepf 0.002;
+  Trace.enable ();
+  (Fun.protect ~finally:Trace.disable @@ fun () ->
+   Trace.with_span ~cat:"t" "after" (fun () -> ()));
+  let spans = Trace.events () in
+  let before = find_span "before" spans and after = find_span "after" spans in
+  Alcotest.(check bool) "second span starts after the first ends" true
+    (after.Trace.ts_us >= before.Trace.ts_us +. before.Trace.dur_us)
+
 let test_trace_jsonl_roundtrip () =
   Trace.reset ();
   Trace.enable ();
@@ -527,6 +543,8 @@ let () =
             (test_trace_spans_cross_pool 1);
           Alcotest.test_case "spans cross pool (jobs=4)" `Quick
             (test_trace_spans_cross_pool 4);
+          Alcotest.test_case "re-enable keeps the epoch" `Quick
+            test_trace_reenable_keeps_epoch;
           Alcotest.test_case "jsonl roundtrip" `Quick test_trace_jsonl_roundtrip;
         ] );
       qsuite "properties"

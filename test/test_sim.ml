@@ -3,6 +3,7 @@ open Dpoaf_driving
 module Ts = Dpoaf_automata.Ts
 module Fsa = Dpoaf_automata.Fsa
 module MC = Dpoaf_automata.Model_checker
+module D = (val Dpoaf_domain.Pack_driving.pack : Dpoaf_domain.Domain.S)
 module Symbol = Dpoaf_logic.Symbol
 module Ltl = Dpoaf_logic.Ltl
 module Rng = Dpoaf_util.Rng
@@ -62,10 +63,10 @@ let test_world_rejects_nontotal () =
 (* ---------------- runner / grounding ---------------- *)
 
 let after_ft_controller () =
-  fst (Evaluate.controller_of_steps ~name:"after" Responses.right_turn_after_ft)
+  fst (D.controller_of_steps ~name:"after" Responses.right_turn_after_ft)
 
 let before_ft_controller () =
-  fst (Evaluate.controller_of_steps ~name:"before" Responses.right_turn_before_ft)
+  fst (D.controller_of_steps ~name:"before" Responses.right_turn_before_ft)
 
 let test_runner_length_and_actions () =
   let world = World.create ~model:(tl_model ()) (Rng.create 5) in

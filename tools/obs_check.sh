@@ -12,44 +12,21 @@
 set -eu
 
 CLI=_build/default/bin/dpoaf_cli.exe
-GATE=_build/default/bench/perf_gate.exe
+PERF_GATE=_build/default/bench/perf_gate.exe
 SOCK=$(mktemp -u /tmp/dpoaf-obs-check.XXXXXX.sock)
 LOG=$(mktemp /tmp/dpoaf-obs-check.XXXXXX.log)
 OUT=$(mktemp /tmp/dpoaf-obs-check.XXXXXX.out)
 WORK=$(mktemp -d /tmp/dpoaf-obs-check.XXXXXX)
 JOURNAL="$WORK/journal.jsonl"
 
-cleanup() {
-    [ -n "${DAEMON_PID:-}" ] && kill "$DAEMON_PID" 2>/dev/null || true
-    [ -n "${DAEMON_PID:-}" ] && wait "$DAEMON_PID" 2>/dev/null || true
-    [ -n "${LOADGEN_PID:-}" ] && kill "$LOADGEN_PID" 2>/dev/null || true
-    rm -f "$SOCK" "$LOG" "$OUT"
-    rm -rf "$WORK"
-}
-trap cleanup EXIT INT TERM
+GATE=obs-check
+SCRATCH="$LOG $OUT $WORK"
+. "$(dirname "$0")/daemon_lib.sh"
 
-[ -x "$CLI" ] || { echo "obs-check: $CLI not built" >&2; exit 1; }
-[ -x "$GATE" ] || { echo "obs-check: $GATE not built" >&2; exit 1; }
+need_built "$CLI"
+need_built "$PERF_GATE"
 
-"$CLI" serve --socket "$SOCK" --jobs 2 --seed 17 --journal "$JOURNAL" \
-    >"$LOG" 2>&1 &
-DAEMON_PID=$!
-
-i=0
-while [ ! -S "$SOCK" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 600 ]; then
-        echo "obs-check: daemon did not bind $SOCK within 60s" >&2
-        cat "$LOG" >&2
-        exit 1
-    fi
-    kill -0 "$DAEMON_PID" 2>/dev/null || {
-        echo "obs-check: daemon exited during startup" >&2
-        cat "$LOG" >&2
-        exit 1
-    }
-    sleep 0.1
-done
+start_daemon --jobs 2 --seed 17 --journal "$JOURNAL"
 
 # ---- ops verbs answered mid-load ------------------------------------
 # Start a burst in the background, then query stats/health while it runs.
@@ -121,13 +98,7 @@ grep -q '"schema":"dpoaf-loadgen\/1"\|"schema":"dpoaf-loadgen/1"' \
 }
 
 # ---- graceful stop, then journal validity ---------------------------
-kill -TERM "$DAEMON_PID"
-wait "$DAEMON_PID" || {
-    echo "obs-check: daemon exited non-zero on SIGTERM" >&2
-    cat "$LOG" >&2
-    exit 1
-}
-DAEMON_PID=
+stop_daemon
 
 [ -s "$JOURNAL" ] || {
     echo "obs-check: journal $JOURNAL is missing or empty" >&2
@@ -164,12 +135,12 @@ _build/default/bench/main.exe --fast --only kernels,serving --jobs 2 \
 }
 
 # first run pins the baseline and passes
-"$GATE" --results-dir "$RESULTS" | grep -q 'baseline recorded' || {
+"$PERF_GATE" --results-dir "$RESULTS" | grep -q 'baseline recorded' || {
     echo "obs-check: perf gate did not record a fresh baseline" >&2
     exit 1
 }
 # second run compares latest against it and passes
-"$GATE" --results-dir "$RESULTS" | grep -q 'perf-gate: pass' || {
+"$PERF_GATE" --results-dir "$RESULTS" | grep -q 'perf-gate: pass' || {
     echo "obs-check: perf gate failed on an unchanged run" >&2
     exit 1
 }
@@ -177,7 +148,7 @@ _build/default/bench/main.exe --fast --only kernels,serving --jobs 2 \
 sed 's/"fig8_loop_s":\([0-9.e+-]*\)/"fig8_loop_s":0.000001/' \
     "$RESULTS/baseline.json" >"$RESULTS/baseline.json.tmp"
 mv "$RESULTS/baseline.json.tmp" "$RESULTS/baseline.json"
-if "$GATE" --results-dir "$RESULTS" >"$OUT" 2>&1; then
+if "$PERF_GATE" --results-dir "$RESULTS" >"$OUT" 2>&1; then
     echo "obs-check: perf gate passed despite a degraded headline metric" >&2
     cat "$OUT" >&2
     exit 1

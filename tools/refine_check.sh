@@ -25,14 +25,11 @@ STORE_CLI=$(mktemp -u /tmp/dpoaf-refine-check.XXXXXX.cli.jsonl)
 STORE_SRV=$(mktemp -u /tmp/dpoaf-refine-check.XXXXXX.srv.jsonl)
 JOURNAL=$(mktemp -u /tmp/dpoaf-refine-check.XXXXXX.journal.jsonl)
 
-cleanup() {
-    [ -n "${DAEMON_PID:-}" ] && kill "$DAEMON_PID" 2>/dev/null || true
-    [ -n "${DAEMON_PID:-}" ] && wait "$DAEMON_PID" 2>/dev/null || true
-    rm -f "$SOCK" "$LOG" "$OUT" "$STORE_CLI"* "$STORE_SRV"* "$JOURNAL"*
-}
-trap cleanup EXIT INT TERM
+GATE=refine-check
+SCRATCH="$LOG $OUT $STORE_CLI* $STORE_SRV* $JOURNAL*"
+. "$(dirname "$0")/daemon_lib.sh"
 
-[ -x "$CLI" ] || { echo "refine-check: $CLI not built" >&2; exit 1; }
+need_built "$CLI"
 
 # ---- 1. offline must-repair case --------------------------------------
 
@@ -71,26 +68,8 @@ grep -q 'harvested pairs' "$OUT" || {
 
 # ---- 2. serving path --------------------------------------------------
 
-"$CLI" serve --socket "$SOCK" --jobs 2 --seed 17 \
-    --journal "$JOURNAL" --pref-store "$STORE_SRV" >"$LOG" 2>&1 &
-DAEMON_PID=$!
-
-# wait for the daemon to pre-train its model and bind the socket
-i=0
-while [ ! -S "$SOCK" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 600 ]; then
-        echo "refine-check: daemon did not bind $SOCK within 60s" >&2
-        cat "$LOG" >&2
-        exit 1
-    fi
-    kill -0 "$DAEMON_PID" 2>/dev/null || {
-        echo "refine-check: daemon exited during startup" >&2
-        cat "$LOG" >&2
-        exit 1
-    }
-    sleep 0.1
-done
+# the daemon pre-trains its model, then binds the socket
+start_daemon --jobs 2 --seed 17 --journal "$JOURNAL" --pref-store "$STORE_SRV"
 
 "$CLI" loadgen --socket "$SOCK" --rate 40 --duration 1 --seed 5 \
     --mix generate=0.2,verify=0.3,refine=0.5 | tee "$OUT"
@@ -116,13 +95,7 @@ errors=$(echo "$LG" | sed -n 's/.* errors=\([0-9]*\).*/\1/p')
 }
 
 # graceful shutdown flushes the journal and the store
-kill -TERM "$DAEMON_PID"
-wait "$DAEMON_PID" || {
-    echo "refine-check: daemon exited non-zero on SIGTERM" >&2
-    cat "$LOG" >&2
-    exit 1
-}
-DAEMON_PID=
+stop_daemon
 
 "$CLI" report --journal "$JOURNAL" >"$OUT" 2>&1 || {
     echo "refine-check: journal failed validation" >&2

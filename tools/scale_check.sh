@@ -20,40 +20,15 @@ LOG=$(mktemp /tmp/dpoaf-scale-check.XXXXXX.log)
 OUT=$(mktemp /tmp/dpoaf-scale-check.XXXXXX.out)
 WORK=$(mktemp -d /tmp/dpoaf-scale-check.XXXXXX)
 
-cleanup() {
-    [ -n "${DAEMON_PID:-}" ] && kill "$DAEMON_PID" 2>/dev/null || true
-    [ -n "${DAEMON_PID:-}" ] && wait "$DAEMON_PID" 2>/dev/null || true
-    rm -f "$SOCK" "$LOG" "$OUT"
-    rm -rf "$WORK"
-}
-trap cleanup EXIT INT TERM
+GATE=scale-check
+SCRATCH="$LOG $OUT $WORK"
+. "$(dirname "$0")/daemon_lib.sh"
 
-[ -x "$CLI" ] || { echo "scale-check: $CLI not built" >&2; exit 1; }
-[ -x "$BENCH" ] || { echo "scale-check: $BENCH not built" >&2; exit 1; }
-
-wait_for_daemon() {
-    i=0
-    while [ ! -S "$SOCK" ]; do
-        i=$((i + 1))
-        if [ "$i" -gt 600 ]; then
-            echo "scale-check: daemon did not bind $SOCK within 60s" >&2
-            cat "$LOG" >&2
-            exit 1
-        fi
-        kill -0 "$DAEMON_PID" 2>/dev/null || {
-            echo "scale-check: daemon exited during startup" >&2
-            cat "$LOG" >&2
-            exit 1
-        }
-        sleep 0.1
-    done
-}
+need_built "$CLI"
+need_built "$BENCH"
 
 # ---- 2-shard fleet, continuous batching, both transports -------------
-"$CLI" serve --socket "$SOCK" --shards 2 --tcp-port 0 --jobs 1 --seed 17 \
-    >"$LOG" 2>&1 &
-DAEMON_PID=$!
-wait_for_daemon
+start_daemon --shards 2 --tcp-port 0 --jobs 1 --seed 17
 
 # the ephemeral TCP port is announced on startup
 i=0
@@ -121,21 +96,12 @@ grep -q 'sweep:' "$WORK/sweep.txt" || {
     exit 1
 }
 
-kill -TERM "$DAEMON_PID"
-wait "$DAEMON_PID" || {
-    echo "scale-check: 2-shard daemon exited non-zero on SIGTERM" >&2
-    cat "$LOG" >&2
-    exit 1
-}
-DAEMON_PID=
+stop_daemon "2-shard "
 
 # ---- shard-count / batching identity ---------------------------------
 # a 1-shard flush-batching daemon (same seed) must dump the same bytes:
 # routing and the scheduler move only queueing and cache temperature
-"$CLI" serve --socket "$SOCK" --shards 1 --batching flush --jobs 2 --seed 17 \
-    >"$LOG" 2>&1 &
-DAEMON_PID=$!
-wait_for_daemon
+start_daemon --shards 1 --batching flush --jobs 2 --seed 17
 
 "$CLI" loadgen --socket "$SOCK" --rate 80 --duration 1 --seed 5 \
     --dump "$WORK/oneshard.dump" >/dev/null
@@ -145,13 +111,7 @@ cmp -s "$WORK/unix.dump" "$WORK/oneshard.dump" || {
     exit 1
 }
 
-kill -TERM "$DAEMON_PID"
-wait "$DAEMON_PID" || {
-    echo "scale-check: 1-shard daemon exited non-zero on SIGTERM" >&2
-    cat "$LOG" >&2
-    exit 1
-}
-DAEMON_PID=
+stop_daemon "1-shard "
 
 # ---- the serving_scale bench artifact --------------------------------
 ROOT=$(pwd)

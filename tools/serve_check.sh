@@ -14,34 +14,14 @@ SOCK=$(mktemp -u /tmp/dpoaf-serve-check.XXXXXX.sock)
 LOG=$(mktemp /tmp/dpoaf-serve-check.XXXXXX.log)
 REPORT=$(mktemp /tmp/dpoaf-serve-check.XXXXXX.report)
 
-cleanup() {
-    [ -n "${DAEMON_PID:-}" ] && kill "$DAEMON_PID" 2>/dev/null || true
-    [ -n "${DAEMON_PID:-}" ] && wait "$DAEMON_PID" 2>/dev/null || true
-    rm -f "$SOCK" "$LOG" "$REPORT"
-}
-trap cleanup EXIT INT TERM
+GATE=serve-check
+SCRATCH="$LOG $REPORT"
+. "$(dirname "$0")/daemon_lib.sh"
 
-[ -x "$CLI" ] || { echo "serve-check: $CLI not built" >&2; exit 1; }
+need_built "$CLI"
 
-"$CLI" serve --socket "$SOCK" --jobs 2 --seed 17 >"$LOG" 2>&1 &
-DAEMON_PID=$!
-
-# wait for the daemon to pre-train its model and bind the socket
-i=0
-while [ ! -S "$SOCK" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 600 ]; then
-        echo "serve-check: daemon did not bind $SOCK within 60s" >&2
-        cat "$LOG" >&2
-        exit 1
-    fi
-    kill -0 "$DAEMON_PID" 2>/dev/null || {
-        echo "serve-check: daemon exited during startup" >&2
-        cat "$LOG" >&2
-        exit 1
-    }
-    sleep 0.1
-done
+# the daemon pre-trains its model, then binds the socket
+start_daemon --jobs 2 --seed 17
 
 "$CLI" loadgen --socket "$SOCK" --rate 100 --duration 1 --seed 5 | tee "$REPORT"
 
@@ -67,17 +47,7 @@ errors=$(echo "$SUMMARY" | sed -n 's/.* errors=\([0-9]*\).*/\1/p')
 }
 
 # graceful shutdown: SIGTERM drains and removes the socket file
-kill -TERM "$DAEMON_PID"
-wait "$DAEMON_PID" || {
-    echo "serve-check: daemon exited non-zero on SIGTERM" >&2
-    cat "$LOG" >&2
-    exit 1
-}
-DAEMON_PID=
-if [ -e "$SOCK" ]; then
-    echo "serve-check: socket file not removed on shutdown" >&2
-    exit 1
-fi
+stop_daemon
 grep -q 'daemon stopped' "$LOG" || {
     echo "serve-check: daemon did not report a graceful stop" >&2
     cat "$LOG" >&2
