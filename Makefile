@@ -68,15 +68,18 @@ trace-check:
 # Fused-kernel gate: the bit-identity differential suites (fused vs
 # unfused scoring, incremental vs full-context states, arena reuse vs
 # fresh tapes), then a fast kernels benchmark pass, which itself exits
-# non-zero if the optimized paths diverge from the reference.  See
-# docs/performance.md.
+# non-zero if the optimized paths diverge from the reference.  The pass
+# runs in _build/kernels-check so its BENCH_kernels.json and results
+# series stay out of the committed ones.  See docs/performance.md.
 kernels-check:
 	dune build bench/main.exe test/test_tensor.exe test/test_lm.exe test/test_dpo.exe
 	dune exec test/test_tensor.exe -- test 'fused kernels'
 	dune exec test/test_tensor.exe -- test 'tape reuse'
 	dune exec test/test_lm.exe -- test incremental
 	dune exec test/test_dpo.exe -- test trainer -q
-	dune exec bench/main.exe -- --fast --only kernels
+	mkdir -p _build/kernels-check
+	cd _build/kernels-check && ../default/bench/main.exe --fast --only kernels \
+	  --results-dir results
 
 # Serving-layer round-trip: daemon on a temp socket, a loadgen burst,
 # assert completions with zero protocol errors, graceful SIGTERM drain.

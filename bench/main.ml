@@ -808,7 +808,7 @@ let speedup () =
 let serving () =
   if
     section "serving"
-      "Throughput of the batched serving scheduler (lib/serve)"
+      "Throughput of the serving scheduler (lib/serve)"
   then begin
     let module Serve = Dpoaf_serve in
     let module SP = Dpoaf_serve.Protocol in
@@ -816,7 +816,7 @@ let serving () =
     let requests_per_run = if fast then 150 else 400 in
     let corpus = Pipeline.Corpus.build () in
     (* verification-only engine: the workload is the formal-methods side
-       of the service, where batch parallelism actually pays *)
+       of the service, where worker parallelism actually pays *)
     let engine = Serve.Engine.create ~corpus () in
     (* Salt the step lists per worker-count run: verification is memoized
        process-wide, so replaying identical requests would time the cache,
@@ -842,17 +842,15 @@ let serving () =
           { SP.id = Printf.sprintf "b%d" i; kind; deadline_ms = None })
     in
     let completed_c = M.counter "serve.completed" in
-    let batches_c = M.counter "serve.batches" in
     let run jobs =
       let requests = make_requests ~salt:(9000 + jobs) in
       let server =
         Serve.Server.create
           ~config:
-            { Serve.Server.jobs; max_batch = 32; flush_ms = 2.0;
-              queue_capacity = 1024 }
+            { Serve.Server.default_config with jobs; queue_capacity = 1024 }
           ~handler:(Serve.Engine.handle engine) ()
       in
-      let c0 = M.value completed_c and b0 = M.value batches_c in
+      let c0 = M.value completed_c in
       let responses, t =
         wallclock (fun () ->
             let tickets =
@@ -867,22 +865,20 @@ let serving () =
              (fun r -> SP.status_of_body r.SP.rbody <> "ok")
              responses)
       in
-      (M.value completed_c - c0, M.value batches_c - b0, not_ok, t)
+      (M.value completed_c - c0, not_ok, t)
     in
     let first = run 1 in
-    let _, _, _, t1 = first in
+    let _, _, t1 = first in
     let table =
       Table.create
-        [ "jobs"; "completed"; "not ok"; "batches"; "wall s"; "req/s";
-          "speedup" ]
+        [ "jobs"; "completed"; "not ok"; "wall s"; "req/s"; "speedup" ]
     in
-    let row jobs (completed, batches, not_ok, t) =
+    let row jobs (completed, not_ok, t) =
       Table.add_row table
         [
           string_of_int jobs;
           string_of_int completed;
           string_of_int not_ok;
-          string_of_int batches;
           Printf.sprintf "%.2f" t;
           Printf.sprintf "%.0f" (float_of_int completed /. t);
           Printf.sprintf "%.2fx" (t1 /. t);
@@ -894,8 +890,7 @@ let serving () =
     let lat = M.histogram "serve.latency" in
     let qw = M.histogram "serve.queue_wait" in
     Printf.printf
-      "\n%d salted verify/score_pair requests per worker count (max_batch 32, \
-       flush 2 ms);\n\
+      "\n%d salted verify/score_pair requests per worker count;\n\
        available cores on this machine: %d (like `speedup`, wall-clock \
        scaling needs real cores;\n\
        responses are bit-identical at every worker count regardless).\n\
@@ -972,10 +967,8 @@ let serving_scale () =
           Serve.Engine.create ~lm ?tag ~prompt_cache_capacity ~corpus ()
         in
         Serve.Server.create
-          ~config:
-            { Serve.Server.jobs = 1; max_batch = 32; flush_ms = 2.0;
-              queue_capacity = 512 }
-          ~batching:`Continuous ?label:tag
+          ~config:{ Serve.Server.default_config with queue_capacity = 512 }
+          ?label:tag
           ~handler:(Serve.Engine.handle engine) ()
       in
       let router = Serve.Router.create (Array.init shards make_shard) in
@@ -1644,11 +1637,7 @@ let domains_section () =
              tagged with the pack's wire-protocol domain field *)
           let engine = Serve.Engine.create ~corpus () in
           let server =
-            Serve.Server.create
-              ~config:
-                { Serve.Server.jobs = 1; max_batch = 16; flush_ms = 1.0;
-                  queue_capacity = 256 }
-              ~handler:(Serve.Engine.handle engine) ()
+            Serve.Server.create ~handler:(Serve.Engine.handle engine) ()
           in
           let rng_req = Rng.create 72 in
           let requests =

@@ -10,7 +10,7 @@
    dpoaf_cli simulate --task ID           empirical P_Φ in the simulator
    dpoaf_cli report trace.jsonl           summarize a recorded trace
    dpoaf_cli smv --step "..." ...         export a controller to NuSMV
-   dpoaf_cli serve --socket PATH          batched serving daemon (NDJSON)
+   dpoaf_cli serve --socket PATH          serving daemon (NDJSON)
    dpoaf_cli loadgen --rate N             replay synthetic traffic at it
    dpoaf_cli stats [--watch N]            live daemon metrics (json|prom)
    dpoaf_cli health                       daemon queue/drain liveness
@@ -1245,8 +1245,8 @@ let socket_arg =
   Arg.(value & opt string "/tmp/dpoaf.sock"
        & info [ "socket" ] ~docv:"PATH" ~doc)
 
-let run_serve socket tcp_port shards batching prompt_cache domains checkpoint
-    jobs max_batch flush_ms queue_capacity seed journal_path journal_max_kb
+let run_serve socket tcp_port shards prompt_cache domains checkpoint jobs
+    queue_capacity seed journal_path journal_max_kb
     pref_store_path pref_store_max_kb trace metrics_json =
   with_telemetry ~trace ~metrics_json @@ fun () ->
   let domains =
@@ -1309,7 +1309,7 @@ let run_serve socket tcp_port shards batching prompt_cache domains checkpoint
      prompt-state caches (bounded by --prompt-cache) while the per-domain
      request counters share the untagged cells, so fleet totals need no
      aggregation.  A single shard keeps the historical untagged names. *)
-  let config = { Serve.Server.jobs; max_batch; flush_ms; queue_capacity } in
+  let config = { Serve.Server.default_config with jobs; queue_capacity } in
   let make_shard i =
     let tag = if shards = 1 then None else Some (Serve.Router.shard_name i) in
     let engine =
@@ -1317,7 +1317,7 @@ let run_serve socket tcp_port shards batching prompt_cache domains checkpoint
         ~prompt_cache_capacity:prompt_cache packs
     in
     let server =
-      Serve.Server.create ~config ~batching ?label:tag
+      Serve.Server.create ~config ?label:tag
         ~handler:(Serve.Engine.handle engine) ?journal ()
     in
     (engine, server)
@@ -1337,28 +1337,15 @@ let run_serve socket tcp_port shards batching prompt_cache domains checkpoint
         (fun ~domain ->
           match Serve.Engine.request_counts engine0 ~domain with
           | Error msg -> Serve.Protocol.Failed msg
-          | Ok counts ->
-              let h = Serve.Router.health router in
-              Serve.Protocol.Health_report
-                {
-                  queue_depth = h.Serve.Server.queue_depth;
-                  in_flight_batches = h.Serve.Server.in_flight_batches;
-                  draining = h.Serve.Server.draining;
-                  domains = counts;
-                  shards =
-                    (if shards > 1 then Serve.Router.shard_healths router
-                     else []);
-                });
+          | Ok domains -> Serve.Router.health_report router ~domains);
     }
   in
   Printf.printf
-    "serving %s on %s (shards=%d, batching=%s, jobs=%d/shard, max_batch=%d, \
-     flush_ms=%g, queue=%d/shard); SIGINT or SIGTERM drains and stops\n\
+    "serving %s on %s (shards=%d, jobs=%d/shard, queue=%d/shard); SIGINT or \
+     SIGTERM drains and stops\n\
      %!"
     (String.concat ", " (Serve.Engine.domains engine0))
-    socket shards
-    (match batching with `Flush -> "flush" | `Continuous -> "continuous")
-    jobs max_batch flush_ms queue_capacity;
+    socket shards jobs queue_capacity;
   let stats =
     Serve.Daemon.run ~socket ?tcp_port
       ~on_tcp_listen:(fun port ->
@@ -1391,17 +1378,6 @@ let tcp_port_arg =
                  for client commands: connect there instead of \
                  $(b,--socket).")
 
-let batching_arg =
-  let mode_conv =
-    Arg.enum [ ("continuous", `Continuous); ("flush", `Flush) ]
-  in
-  Arg.(value & opt mode_conv `Continuous
-       & info [ "batching" ] ~docv:"MODE"
-           ~doc:"Batching discipline: $(b,continuous) keeps every worker \
-                 slot refilled as requests complete; $(b,flush) restores \
-                 the flush-and-wait dispatcher (responses are bit-identical \
-                 either way).")
-
 let serve_cmd =
   let domains_arg =
     let doc =
@@ -1416,14 +1392,6 @@ let serve_cmd =
              ~doc:"Serve this fine-tuned checkpoint (single-domain only; \
                    default: pre-train a small model per pack at startup).")
   in
-  let max_batch_arg =
-    Arg.(value & opt int Serve.Server.default_config.Serve.Server.max_batch
-         & info [ "max-batch" ] ~docv:"N" ~doc:"Size-based batch flush.")
-  in
-  let flush_ms_arg =
-    Arg.(value & opt float Serve.Server.default_config.Serve.Server.flush_ms
-         & info [ "flush-ms" ] ~docv:"MS" ~doc:"Time-based batch flush.")
-  in
   let queue_arg =
     Arg.(value
          & opt int Serve.Server.default_config.Serve.Server.queue_capacity
@@ -1435,7 +1403,7 @@ let serve_cmd =
     Arg.(value & opt (some string) None
          & info [ "journal" ] ~docv:"FILE"
              ~doc:"Append serving events (requests, rejects, expiries, \
-                   batches, checkpoint loads, drains) to a size-rotated \
+                   checkpoint loads, drains) to a size-rotated \
                    JSONL journal at $(docv); read it back with \
                    `dpoaf_cli report --journal $(docv)`.")
   in
@@ -1477,19 +1445,19 @@ let serve_cmd =
   in
   Cmd.v
     (Cmd.info "serve"
-       ~doc:"Run the batched inference-and-verification daemon (line-delimited \
+       ~doc:"Run the inference-and-verification daemon (line-delimited \
              JSON over a Unix socket and optionally TCP), serving one or \
              more domain packs across one or more shards.")
     Term.(const run_serve $ socket_arg $ tcp_port_arg $ shards_arg
-          $ batching_arg $ prompt_cache_arg $ domains_arg $ checkpoint_arg
-          $ jobs_arg $ max_batch_arg $ flush_ms_arg $ queue_arg $ seed_arg
-          $ journal_arg $ journal_max_kb_arg $ pref_store_arg
-          $ pref_store_max_kb_arg $ trace_arg $ metrics_json_arg)
+          $ prompt_cache_arg $ domains_arg $ checkpoint_arg $ jobs_arg
+          $ queue_arg $ seed_arg $ journal_arg $ journal_max_kb_arg
+          $ pref_store_arg $ pref_store_max_kb_arg $ trace_arg
+          $ metrics_json_arg)
 
 (* ---------------- loadgen ---------------- *)
 
 (* responses re-encoded with the timing fields zeroed and sorted by id:
-   bit-comparable across transports, shard counts and batching modes *)
+   bit-comparable across transports, shard counts and worker counts *)
 let normalized_dump responses =
   let lines =
     List.map
@@ -1654,7 +1622,7 @@ let loadgen_cmd =
          & info [ "dump" ] ~docv:"FILE"
              ~doc:"Write every response to $(docv), sorted by request id \
                    with the timing fields zeroed — bit-comparable across \
-                   transports, shard counts and batching modes (single \
+                   transports, shard counts and worker counts (single \
                    runs only).")
   in
   Cmd.v

@@ -3,15 +3,9 @@
    Producers (client connections, in-process submitters) push from any
    domain; [try_push] never blocks — a full or closed queue is an
    immediate [false], which the server turns into a [Rejected] response.
-   One consumer (the dispatcher domain) pops dynamic batches: a batch
-   flushes when it reaches [max] items or when [flush_s] has elapsed since
-   the batch's first item was taken, whichever comes first.
-
-   The standard library's [Condition] has no timed wait, so the time-based
-   half of the flush is a short poll: once the batch is non-empty the
-   consumer re-checks at sub-millisecond granularity until the size or
-   time threshold trips.  The queue depth is published as a {!Metrics}
-   gauge so serving load is visible in every metrics summary. *)
+   Each of the server's worker domains pops one request at a time.  The
+   queue depth is published as a {!Metrics} gauge so serving load is
+   visible in every metrics summary. *)
 
 module Metrics = Dpoaf_exec.Metrics
 
@@ -23,8 +17,6 @@ type 'a t = {
   mutable closed : bool;
   depth_gauge : Metrics.gauge;
 }
-
-let poll_interval = 0.0002 (* 0.2 ms: fine-grained against a >= 1 ms flush *)
 
 let create ~capacity ~gauge_name =
   if capacity < 1 then invalid_arg "Admission.create: capacity must be >= 1";
@@ -61,16 +53,6 @@ let close t =
       t.closed <- true;
       Condition.broadcast t.nonempty)
 
-let drain_locked t ~max acc =
-  let n = ref (List.length acc) in
-  let acc = ref acc in
-  while !n < max && not (Queue.is_empty t.items) do
-    acc := Queue.pop t.items :: !acc;
-    incr n
-  done;
-  publish_depth t;
-  !acc
-
 let pop_one t =
   Mutex.lock t.mutex;
   while Queue.is_empty t.items && not t.closed do
@@ -86,38 +68,3 @@ let pop_one t =
   in
   Mutex.unlock t.mutex;
   r
-
-let pop_batch t ~max ~flush_s =
-  if max < 1 then invalid_arg "Admission.pop_batch: max must be >= 1";
-  Mutex.lock t.mutex;
-  (* wait (blocking) for the first item, or for close *)
-  while Queue.is_empty t.items && not t.closed do
-    Condition.wait t.nonempty t.mutex
-  done;
-  if Queue.is_empty t.items then begin
-    (* closed and empty: the consumer is done *)
-    Mutex.unlock t.mutex;
-    None
-  end
-  else begin
-    let batch = ref (drain_locked t ~max []) in
-    let flush_at = Unix.gettimeofday () +. flush_s in
-    (* keep topping the batch up until size or time flushes it; closing
-       flushes immediately so drain never waits on the window *)
-    let rec fill () =
-      if
-        List.length !batch < max
-        && (not t.closed)
-        && Unix.gettimeofday () < flush_at
-      then begin
-        Mutex.unlock t.mutex;
-        Unix.sleepf poll_interval;
-        Mutex.lock t.mutex;
-        batch := drain_locked t ~max !batch;
-        fill ()
-      end
-    in
-    if flush_s > 0.0 then fill ();
-    Mutex.unlock t.mutex;
-    Some (List.rev !batch)
-  end

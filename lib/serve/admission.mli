@@ -1,12 +1,10 @@
-(** Bounded submission queue with explicit backpressure and dynamic
-    batch extraction.
+(** Bounded submission queue with explicit backpressure.
 
-    Multi-producer, single-consumer.  {!try_push} never blocks: a full or
+    Multi-producer, multi-consumer.  {!try_push} never blocks: a full or
     closed queue answers [false] immediately, which the caller must
     surface as an explicit reject — overload is a protocol-visible
-    condition here, never an unbounded buffer.  The single consumer pops
-    {e dynamic batches}: a batch flushes at [max] items or after
-    [flush_s] seconds from its first item, whichever comes first.
+    condition here, never an unbounded buffer.  Consumers block in
+    {!pop_one} until an item arrives or the queue is closed.
 
     The current depth is published as the {!Dpoaf_exec.Metrics} gauge
     named at creation, so queue pressure shows up in every metrics
@@ -22,20 +20,10 @@ val try_push : 'a t -> 'a -> bool
 
 val pop_one : 'a t -> 'a option
 (** Block until one item is available and pop it; [None] once the queue
-    is closed {e and} empty.  Unlike {!pop_batch} this is multi-consumer
-    safe — it is the primitive behind continuous batching, where each
-    worker refills its own slot as soon as its previous request
-    completes instead of waiting for a batch boundary. *)
-
-val pop_batch : 'a t -> max:int -> flush_s:float -> 'a list option
-(** Block until at least one item is available, then collect up to [max]
-    items within a [flush_s]-second assembly window (closing the queue
-    flushes immediately).  [None] once the queue is closed {e and} empty.
-    Single consumer only.
-    @raise Invalid_argument if [max < 1]. *)
+    is closed {e and} empty. *)
 
 val close : 'a t -> unit
-(** Stop admitting; wake the consumer.  Already-queued items can still be
-    popped. *)
+(** Stop admitting; wake every blocked consumer.  Already-queued items
+    can still be popped. *)
 
 val depth : 'a t -> int

@@ -2,11 +2,11 @@
    optionally, a TCP listener on the same protocol.
 
    One [Unix.select] event loop owns all sockets; request execution lives
-   entirely in the {!Router}'s replica servers (dispatcher/worker + pool
-   domains).  Completion callbacks run on worker domains, so each
-   connection's outbox is a mutex-guarded queue the event loop flushes —
-   and every enqueue writes one byte down a self-pipe whose read end sits
-   in the select set, so a finished response wakes the loop immediately
+   entirely in the {!Router}'s replica servers.  Completion callbacks
+   run on their worker domains, so each connection's outbox is a
+   mutex-guarded queue the event loop flushes — and every enqueue
+   writes one byte down a self-pipe whose read end sits in the select
+   set, so a finished response wakes the loop immediately
    instead of waiting out a polling interval.  That wake-up is what lets
    the select timeout be adaptive: an idle daemon blocks for seconds
    (0.25 s when a journal/pref store needs periodic flushing, 5 s
@@ -44,14 +44,21 @@ type stats = {
 
 type client = {
   fd : Unix.file_descr;
-  mutable pending : string;  (* partial line carried between reads *)
+  line : Buffer.t;  (* the current line's bytes received so far *)
   outbox : string Queue.t;
   omutex : Mutex.t;
   mutable outbuf : string;  (* partially written wire bytes *)
+  mutable closing : bool;  (* read no more; close once the outbox is sent *)
   mutable alive : bool;
 }
 
 let protocol_errors_c = Dpoaf_exec.Metrics.counter "serve.protocol_errors"
+
+(* the longest request line a connection may send; longer ones are
+   answered with one error line and the connection is closed, so a client
+   that never sends a newline cannot make the daemon buffer without
+   bound *)
+let max_line_bytes = 1 lsl 20
 
 (* ---------------- wake-up plumbing ---------------- *)
 
@@ -145,19 +152,22 @@ let error_response msg =
     execute_us = 0.0;
   }
 
+let protocol_error journal client counters msg =
+  let _, protocol_errors = counters in
+  Metrics.incr protocol_errors_c;
+  incr protocol_errors;
+  (match journal with
+  | Some j -> Journal.emit j "daemon.protocol_error" [ ("error", Json.str msg) ]
+  | None -> ());
+  push_out client (Protocol.response_to_string (error_response msg))
+
 let handle_line router ops journal client counters line =
   if String.trim line = "" then ()
   else begin
-    let requests, protocol_errors = counters in
+    let requests, _ = counters in
     incr requests;
     match Protocol.request_of_string line with
-    | Error msg ->
-        Metrics.incr protocol_errors_c;
-        incr protocol_errors;
-        (match journal with
-        | Some j -> Journal.emit j "daemon.protocol_error" [ ("error", Json.str msg) ]
-        | None -> ());
-        push_out client (Protocol.response_to_string (error_response msg))
+    | Error msg -> protocol_error journal client counters msg
     | Ok req -> (
         match req.Protocol.kind with
         | Protocol.Stats { domain } | Protocol.Health { domain } ->
@@ -182,21 +192,38 @@ let handle_line router ops journal client counters line =
                    push_out client (Protocol.response_to_string resp))))
   end
 
+let reject_long_line journal client counters =
+  let requests, _ = counters in
+  incr requests;
+  Buffer.reset client.line;
+  client.closing <- true;
+  protocol_error journal client counters
+    (Printf.sprintf "request line exceeds the %d-byte limit" max_line_bytes)
+
+(* lines are reassembled in the client's buffer, so a line split over
+   many reads costs time linear in its length *)
 let handle_readable router ops journal client counters =
   let chunk = Bytes.create 4096 in
   match Unix.read client.fd chunk 0 (Bytes.length chunk) with
   | 0 -> client.alive <- false
   | n ->
-      let data = client.pending ^ Bytes.sub_string chunk 0 n in
-      let parts = String.split_on_char '\n' data in
-      let rec consume = function
-        | [] -> client.pending <- ""
-        | [ tail ] -> client.pending <- tail
-        | line :: rest ->
-            handle_line router ops journal client counters line;
-            consume rest
+      let rec consume start =
+        let stop =
+          match Bytes.index_from_opt chunk start '\n' with
+          | Some i when i < n -> i
+          | _ -> n
+        in
+        Buffer.add_subbytes client.line chunk start (stop - start);
+        if Buffer.length client.line > max_line_bytes then
+          reject_long_line journal client counters
+        else if stop < n then begin
+          let line = Buffer.contents client.line in
+          Buffer.clear client.line;
+          handle_line router ops journal client counters line;
+          consume (stop + 1)
+        end
       in
-      consume parts
+      consume 0
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   | exception Unix.Unix_error (_, _, _) -> client.alive <- false
 
@@ -236,18 +263,7 @@ let default_ops router =
     health =
       (fun ~domain ->
         no_registry ~domain (fun () ->
-            let h = Router.health router in
-            Protocol.Health_report
-              {
-                queue_depth = h.Server.queue_depth;
-                in_flight_batches = h.Server.in_flight_batches;
-                draining = h.Server.draining;
-                domains = [];
-                shards =
-                  (if Router.shard_count router > 1 then
-                     Router.shard_healths router
-                   else []);
-              }));
+            Router.health_report router ~domains:[]));
   }
 
 let tcp_listener port =
@@ -304,17 +320,23 @@ let run ~socket ?tcp_port ?on_tcp_listen ~router ?ops ?journal ?pref_store () =
         clients :=
           {
             fd;
-            pending = "";
+            line = Buffer.create 256;
             outbox = Queue.create ();
             omutex = Mutex.create ();
             outbuf = "";
+            closing = false;
             alive = true;
           }
           :: !clients
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   in
   let loop_turn () =
-    let readfds = (wake_rd :: listeners) @ List.map (fun c -> c.fd) !clients in
+    let readfds =
+      (wake_rd :: listeners)
+      @ List.filter_map
+          (fun c -> if c.closing then None else Some c.fd)
+          !clients
+    in
     let writefds =
       List.filter_map
         (fun c -> if refill_outbuf c then Some c.fd else None)
@@ -327,11 +349,14 @@ let run ~socket ?tcp_port ?on_tcp_listen ~router ?ops ?journal ?pref_store () =
       listeners;
     List.iter
       (fun c ->
-        if c.alive && List.mem c.fd readable then
+        if c.alive && (not c.closing) && List.mem c.fd readable then
           handle_readable router ops journal c counters)
       !clients;
     List.iter
       (fun c -> if c.alive && List.mem c.fd writable then flush_client c)
+      !clients;
+    List.iter
+      (fun c -> if c.closing && not (refill_outbuf c) then c.alive <- false)
       !clients;
     let dead, live = List.partition (fun c -> not c.alive) !clients in
     List.iter (fun c -> close_quietly c.fd) dead;
@@ -361,11 +386,6 @@ let run ~socket ?tcp_port ?on_tcp_listen ~router ?ops ?journal ?pref_store () =
           Journal.emit j "serve.shard.up"
             [
               ("shard", Json.str sh.Protocol.sh_shard);
-              ( "batching",
-                Json.str
-                  (match Server.batching srv with
-                  | `Flush -> "flush"
-                  | `Continuous -> "continuous") );
               ( "jobs",
                 Json.num (float_of_int (Server.config srv).Server.jobs) );
               ( "queue_capacity",

@@ -15,7 +15,8 @@
 
     Malformed lines are answered with a [status="error"] response (empty
     id) and counted in [serve.protocol_errors] — the connection stays
-    usable.
+    usable.  A line longer than {!max_line_bytes} is answered the same
+    way, and then that connection is closed.
 
     The ops verbs ([stats]/[health]) are answered synchronously from the
     event loop, ahead of every shard's admission queue: a daemon whose
@@ -40,6 +41,10 @@ type stats = {
   responses : int;  (** response lines enqueued for writing *)
   protocol_errors : int;  (** lines that failed to parse as requests *)
 }
+
+val max_line_bytes : int
+(** The longest request line a connection may send (1 MiB), newline
+    excluded. *)
 
 val run :
   socket:string ->

@@ -23,7 +23,7 @@
     request counter ([serve.requests.<domain>]).
 
     Replies to the execution kinds depend only on request contents — never
-    on batching, arrival order or worker count — which is what lets
+    on arrival order, shard or worker count — which is what lets
     {!Server} parallelize freely while staying bit-deterministic.  The ops
     kinds ([stats], [health]) are exempt from that contract: they report
     live state by design.  Domain errors (unknown task, unknown scenario,

@@ -105,4 +105,15 @@ let health t =
     { Server.queue_depth = 0; in_flight_batches = 0; draining = false }
     t.shards
 
+let health_report t ~domains =
+  let h = health t in
+  Protocol.Health_report
+    {
+      queue_depth = h.Server.queue_depth;
+      in_flight_batches = h.Server.in_flight_batches;
+      draining = h.Server.draining;
+      domains;
+      shards = (if shard_count t > 1 then shard_healths t else []);
+    }
+
 let drain t = Array.iter Server.drain t.shards

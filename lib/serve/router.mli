@@ -61,5 +61,10 @@ val shard_healths : t -> Protocol.shard_health list
 (** Per-shard breakdown in shard order, using each replica's
     {!Server.label} (falling back to ["shard<i>"]) as the name. *)
 
+val health_report : t -> domains:(string * int) list -> Protocol.body
+(** The [health] verb's answer for this fleet: the {!health} aggregate,
+    the given per-domain request counters, and the {!shard_healths} rows
+    when there is more than one shard. *)
+
 val drain : t -> unit
 (** {!Server.drain} every replica, in shard order. *)

@@ -1,24 +1,23 @@
-(* The request scheduler: admission -> dynamic batch -> pool execution.
+(* The request scheduler: admission -> continuous execution.
 
-   A dedicated dispatcher domain pops batches from the bounded
-   {!Admission} queue (size- or time-flushed) and runs each batch on a
-   {!Dpoaf_exec.Pool}, where the dispatcher itself participates as one
-   execution slot.  Per-request deadlines are checked at dequeue: an
-   expired request is answered [Expired] and never executed, so a backed-up
-   queue sheds load instead of burning workers on answers nobody is
-   waiting for.  [drain] closes admission, lets the dispatcher finish
-   everything already queued, and joins it — in-flight requests always
-   complete.
+   [jobs] worker domains pop requests from the bounded {!Admission}
+   queue one at a time, each refilling its in-flight slot the moment its
+   previous request completes, so a slow request never holds back the
+   queue behind it.  Per-request deadlines are checked at dequeue: an
+   expired request is answered [Expired] and never executed, so a
+   backed-up queue sheds load instead of burning workers on answers
+   nobody is waiting for.  [drain] closes admission, lets the workers
+   finish everything already queued, and joins them — in-flight requests
+   always complete.
 
    Every phase is instrumented through {!Dpoaf_exec.Metrics} (counters,
    latency histograms, the queue-depth gauge) and, when tracing is on,
-   each request becomes a [serve.request] span with [serve.queue_wait],
-   [serve.batch_assembly] and [serve.execute] children — recorded
-   retroactively via {!Dpoaf_exec.Trace.record_span} because the phases
-   straddle domains. *)
+   each request becomes a [serve.request] span with [serve.queue_wait]
+   and [serve.execute] children — recorded retroactively via
+   {!Dpoaf_exec.Trace.record_span} because the phases straddle
+   domains. *)
 
 module Metrics = Dpoaf_exec.Metrics
-module Pool = Dpoaf_exec.Pool
 module Trace = Dpoaf_exec.Trace
 module Json = Dpoaf_util.Json
 
@@ -31,8 +30,6 @@ type config = {
 
 let default_config =
   { jobs = 1; max_batch = 32; flush_ms = 5.0; queue_capacity = 256 }
-
-type batching = [ `Flush | `Continuous ]
 
 type ticket = {
   req : Protocol.request;
@@ -47,16 +44,14 @@ type ticket = {
 
 type t = {
   config : config;
-  batching : batching;
   label : string option;
   handler : Protocol.request -> Protocol.body;
   queue : ticket Admission.t;
-  pool : Pool.t option;  (* [`Flush] only; [`Continuous] workers are domains *)
   mutable workers : unit Domain.t list;
   state_mutex : Mutex.t;
   mutable draining : bool;
   journal : Journal.t option;
-  in_flight : int Atomic.t;  (* batches ([`Flush]) or requests executing *)
+  in_flight : int Atomic.t;  (* requests executing *)
   admitted : int Atomic.t;  (* instance-local: the shared serve.accepted
                                counter sums every shard *)
   in_flight_g : Metrics.gauge;
@@ -70,11 +65,9 @@ let rejected_c = Metrics.counter "serve.rejected"
 let expired_c = Metrics.counter "serve.expired"
 let completed_c = Metrics.counter "serve.completed"
 let errors_c = Metrics.counter "serve.errors"
-let batches_c = Metrics.counter "serve.batches"
 let queue_wait_h = Metrics.histogram "serve.queue_wait"
 let execute_h = Metrics.histogram "serve.execute"
 let latency_h = Metrics.histogram "serve.latency"
-let batch_size_h = Metrics.histogram "serve.batch_size"
 
 let kind_name = function
   | Protocol.Generate _ -> "generate"
@@ -119,10 +112,6 @@ let record_request_spans ticket ~t_dequeue ~t_exec_start ~t_end body =
     ignore
       (Trace.record_span ~cat:"serve" ~parent:rid "serve.queue_wait"
          ~t0:ticket.submitted ~t1:t_dequeue);
-    if t_exec_start > t_dequeue then
-      ignore
-        (Trace.record_span ~cat:"serve" ~parent:rid "serve.batch_assembly"
-           ~t0:t_dequeue ~t1:t_exec_start);
     if t_end > t_exec_start then
       ignore
         (Trace.record_span ~cat:"serve" ~parent:rid "serve.execute"
@@ -139,7 +128,7 @@ let finish ticket ~t_dequeue ~t_exec_start ~t_end body =
       execute_us = (t_end -. t_exec_start) *. 1e6;
     }
 
-(* ---------------- dispatch ---------------- *)
+(* ---------------- workers ---------------- *)
 
 let expired_at ~t_dequeue ticket =
   match ticket.deadline with Some d -> t_dequeue > d | None -> false
@@ -178,45 +167,8 @@ let execute_ticket t ~t_dequeue ticket =
 
 let set_in_flight t = Metrics.set_gauge t.in_flight_g (float_of_int (Atomic.get t.in_flight))
 
-let run_batch t pool tickets =
-  let t_dequeue = Unix.gettimeofday () in
-  Atomic.incr t.in_flight;
-  set_in_flight t;
-  Fun.protect
-    ~finally:(fun () ->
-      Atomic.decr t.in_flight;
-      set_in_flight t)
-  @@ fun () ->
-  Metrics.incr batches_c;
-  Metrics.observe batch_size_h (float_of_int (List.length tickets));
-  List.iter
-    (fun ticket -> Metrics.observe queue_wait_h (t_dequeue -. ticket.submitted))
-    tickets;
-  (* deadline gate: expired requests are answered, counted and dropped
-     before any execution slot is spent on them *)
-  let expired, alive = List.partition (expired_at ~t_dequeue) tickets in
-  journal_event t.journal "serve.batch"
-    (shard_attrs t.label
-       [
-         ("size", Json.num (float_of_int (List.length tickets)));
-         ("expired", Json.num (float_of_int (List.length expired)));
-       ]);
-  List.iter (expire_ticket t ~t_dequeue) expired;
-  ignore (Pool.map_on_pool pool (execute_ticket t ~t_dequeue) alive)
-
-let rec dispatch_loop t pool =
-  match
-    Admission.pop_batch t.queue ~max:t.config.max_batch
-      ~flush_s:(t.config.flush_ms /. 1000.0)
-  with
-  | None -> ()
-  | Some tickets ->
-      run_batch t pool tickets;
-      dispatch_loop t pool
-
-(* continuous batching: each worker holds one in-flight slot and refills
-   it the moment its previous request completes, so the "batch" is the
-   set of busy workers and never drains between flush windows *)
+(* each worker holds one in-flight slot and refills it the moment its
+   previous request completes *)
 let rec worker_loop t =
   match Admission.pop_one t.queue with
   | None -> ()
@@ -236,45 +188,32 @@ let rec worker_loop t =
 
 (* ---------------- public API ---------------- *)
 
-let create ?(config = default_config) ?(batching = `Flush) ?label ?journal
-    ~handler () =
+(* [batching] is accepted and ignored, as are [config.max_batch] and
+   [config.flush_ms]: continuous is the only scheduler *)
+let create ?(config = default_config) ?batching:_ ?label ?journal ~handler ()
+    =
   if config.jobs < 1 then invalid_arg "Server.create: jobs must be >= 1";
-  if config.max_batch < 1 then
-    invalid_arg "Server.create: max_batch must be >= 1";
-  if config.flush_ms < 0.0 then
-    invalid_arg "Server.create: flush_ms must be >= 0";
-  (* an unlabelled server keeps the historical metric names; a labelled
+  (* an unlabelled server registers its gauges under [serve.*]; a labelled
      (sharded) one gets per-shard twins alongside the shared process-wide
      counters/histograms, which all shards still feed *)
   let prefix =
     match label with None -> "serve" | Some l -> "serve." ^ l
   in
-  let pool =
-    match batching with
-    | `Flush -> Some (Pool.create ~jobs:config.jobs)
-    | `Continuous -> None
-  in
   let t =
     {
       config;
-      batching;
       label;
       handler;
       queue =
         Admission.create ~capacity:config.queue_capacity
           ~gauge_name:(prefix ^ ".queue.depth");
-      pool;
       workers = [];
       state_mutex = Mutex.create ();
       draining = false;
       journal;
       in_flight = Atomic.make 0;
       admitted = Atomic.make 0;
-      in_flight_g =
-        Metrics.gauge
-          (match label with
-          | None -> "serve.batches.in_flight"
-          | Some _ -> prefix ^ ".in_flight");
+      in_flight_g = Metrics.gauge (prefix ^ ".in_flight");
       requests_c =
         (match label with
         | None -> None
@@ -282,15 +221,10 @@ let create ?(config = default_config) ?(batching = `Flush) ?label ?journal
     }
   in
   t.workers <-
-    (match (batching, pool) with
-    | `Flush, Some pool -> [ Domain.spawn (fun () -> dispatch_loop t pool) ]
-    | `Continuous, _ ->
-        List.init config.jobs (fun _ -> Domain.spawn (fun () -> worker_loop t))
-    | `Flush, None -> assert false);
+    List.init config.jobs (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
 
 let config t = t.config
-let batching t = t.batching
 let label t = t.label
 let queue_depth t = Admission.depth t.queue
 let admitted t = Atomic.get t.admitted
@@ -374,5 +308,4 @@ let drain t =
   t.workers <- [];
   Mutex.unlock t.state_mutex;
   Admission.close t.queue;
-  List.iter Domain.join workers;
-  match t.pool with Some pool -> Pool.shutdown pool | None -> ()
+  List.iter Domain.join workers

@@ -1,65 +1,55 @@
-(** The batched inference-and-verification scheduler.
+(** The continuous inference-and-verification scheduler.
 
     Requests enter a bounded admission queue ({!submit} / {!submit_async}
     answer an explicit [Rejected] body when it is full — backpressure is a
-    protocol condition, not an unbounded buffer), are coalesced into
-    dynamic batches (flushed at [max_batch] items or after [flush_ms],
-    whichever first) by a dedicated dispatcher domain, and execute on a
-    private {!Dpoaf_exec.Pool} of [jobs] slots.  A request whose
-    [deadline_ms] elapses while it queues is answered [Expired] at dequeue
-    time and never executed.
+    protocol condition, not an unbounded buffer).  [jobs] worker domains
+    pop them one at a time, each refilling its in-flight slot the moment
+    its previous request completes, so a slow request never holds back
+    the queue behind it.  A request whose [deadline_ms] elapses while it
+    queues is answered [Expired] at dequeue time and never executed.
 
     Because the handler must be a pure function of the request (see
-    {!Engine}), responses are bit-identical for every [jobs], batch size
-    and flush window — the serving-layer restatement of the PR-1 pool
-    guarantee.
+    {!Engine}), responses are bit-identical for every [jobs] and arrival
+    order — the serving-layer restatement of the PR-1 pool guarantee.
 
     Instrumentation: counters [serve.accepted/rejected/expired/completed/
-    errors/batches], histograms [serve.queue_wait/execute/latency/
-    batch_size], the [serve.queue.depth] and [serve.batches.in_flight]
-    gauges, and per-request [serve.request] trace spans with
-    [queue_wait]/[batch_assembly]/[execute] children when
+    errors], histograms [serve.queue_wait/execute/latency], the
+    [serve.queue.depth] and [serve.in_flight] gauges, and per-request
+    [serve.request] trace spans with [queue_wait]/[execute] children when
     {!Dpoaf_exec.Trace} is enabled.  When created with a {!Journal}, every
     admission reject ([serve.reject]), deadline expiry ([serve.expire]),
-    batch coalesce ([serve.batch]), request completion ([serve.request])
-    and drain ([serve.drain]) is also recorded as a journal event. *)
+    request completion ([serve.request]) and drain ([serve.drain]) is
+    also recorded as a journal event. *)
 
 type config = {
-  jobs : int;  (** pool slots executing batches *)
-  max_batch : int;  (** size-based flush threshold *)
-  flush_ms : float;  (** time-based flush threshold, milliseconds *)
+  jobs : int;  (** worker domains, one request in flight each *)
+  max_batch : int;  (** ignored; [perfbench/fleet.ml] still sets it *)
+  flush_ms : float;  (** ignored; [perfbench/fleet.ml] still sets it *)
   queue_capacity : int;  (** admission bound; beyond it requests reject *)
 }
 
 val default_config : config
-(** [jobs = 1], [max_batch = 32], [flush_ms = 5.0],
-    [queue_capacity = 256]. *)
-
-type batching = [ `Flush  (** dispatcher + dynamic batches (historical) *)
-  | `Continuous
-    (** [jobs] worker domains, each refilling its in-flight slot the
-        moment its previous request completes — no batch boundaries, so
-        a slow request never stalls the rest of its batch.  [max_batch]
-        and [flush_ms] are ignored; [serve.batch] events and the
-        [serve.batches]/[serve.batch_size] metrics are not produced. *) ]
+(** [jobs = 1], [queue_capacity = 256] (and the ignored [max_batch = 32],
+    [flush_ms = 5.0]).  Set the live fields with
+    [{ default_config with jobs; queue_capacity }]. *)
 
 type t
 
 val create :
   ?config:config ->
-  ?batching:batching ->
+  ?batching:[ `Continuous ] ->
   ?label:string ->
   ?journal:Journal.t ->
   handler:(Protocol.request -> Protocol.body) ->
   unit ->
   t
-(** Spawn the dispatcher domain and worker pool ([`Flush], the default)
-    or [jobs] continuous-batching worker domains ([`Continuous]).
-    [handler] runs on pool workers and must be safe to call from any
-    domain; exceptions it raises become [Failed] bodies.  [journal], when
-    given, receives the serving events listed above; the server buffers
-    through the journal's ring and never flushes it itself — the owning
-    loop should call {!Journal.flush} periodically.
+(** Spawn [jobs] worker domains.  [batching] is ignored
+    ([perfbench/fleet.ml] still passes it).  [handler] runs on the workers
+    and must be safe to call from any domain; exceptions it raises become
+    [Failed] bodies.  [journal], when given, receives the serving events
+    listed above; the server buffers through the journal's ring and never
+    flushes it itself — the owning loop should call {!Journal.flush}
+    periodically.
 
     [label] names this server as one shard of a fleet: the queue-depth
     and in-flight gauges move to [serve.<label>.queue.depth] /
@@ -67,8 +57,7 @@ val create :
     counts admissions, and every journal event carries a ["shard"]
     attribute.  The process-wide [serve.*] counters and histograms are
     still fed by every shard, so fleet totals need no aggregation step.
-    @raise Invalid_argument on non-positive [jobs]/[max_batch] or negative
-    [flush_ms]. *)
+    @raise Invalid_argument on non-positive [jobs]. *)
 
 type ticket
 (** A pending (or already answered) request. *)
@@ -91,12 +80,10 @@ val submit : t -> Protocol.request -> Protocol.response
 
 val drain : t -> unit
 (** Graceful shutdown: stop admitting (subsequent submissions reject with
-    "server draining"), finish every queued and in-flight request, join
-    the dispatcher and shut the pool down.  Idempotent. *)
+    "server draining"), finish every queued and in-flight request and
+    join the workers.  Idempotent. *)
 
 val config : t -> config
-
-val batching : t -> batching
 val label : t -> string option
 val queue_depth : t -> int
 
@@ -110,9 +97,8 @@ val admitted : t -> int
 type health = {
   queue_depth : int;  (** requests waiting in admission *)
   in_flight_batches : int;
-      (** batches currently executing (0 or 1 with the [`Flush]
-          dispatcher); under [`Continuous] batching, the number of
-          requests currently executing (at most [jobs]) *)
+      (** requests currently executing (at most [jobs]); the name is the
+          wire member's *)
   draining : bool;
 }
 

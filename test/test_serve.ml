@@ -438,40 +438,20 @@ let verify_request ?deadline_ms id =
     deadline_ms;
   }
 
-let test_batch_and_complete () =
-  (* trivial handler: everything completes, batches of any size *)
-  let server =
-    Server.create
-      ~config:{ Server.jobs = 2; max_batch = 8; flush_ms = 2.0; queue_capacity = 64 }
-      ~handler:(fun _ -> P.verified ok_profile)
-      ()
-  in
-  let tickets =
-    List.init 20 (fun i ->
-        Server.submit_async server (verify_request (Printf.sprintf "q%d" i)))
-  in
-  let responses = List.map Server.await tickets in
-  Server.drain server;
-  List.iteri
-    (fun i r ->
-      Alcotest.(check string) "id echoed" (Printf.sprintf "q%d" i) r.P.rid;
-      Alcotest.(check body_testable) "ok" (P.verified ok_profile) r.P.rbody)
-    responses
-
 let test_deadline_expiry () =
   let expired_before = Metrics.value (Metrics.counter "serve.expired") in
-  (* one slot, serial batches: while the blocker executes for 100 ms, a
-     request with a 20 ms deadline sits in the queue past its deadline *)
+  (* one worker: while the blocker executes for 100 ms, a request with a
+     20 ms deadline sits in the queue past its deadline *)
   let server =
     Server.create
-      ~config:{ Server.jobs = 1; max_batch = 1; flush_ms = 0.0; queue_capacity = 64 }
+      ~config:{ Server.default_config with queue_capacity = 64 }
       ~handler:(fun req ->
         (match req.P.id with "blocker" -> Unix.sleepf 0.1 | _ -> ());
         P.verified ok_profile)
       ()
   in
   let blocker = Server.submit_async server (verify_request "blocker") in
-  (* give the dispatcher time to pull the blocker into execution *)
+  (* give the worker time to pull the blocker into execution *)
   Unix.sleepf 0.02;
   let doomed =
     Server.submit_async server (verify_request ~deadline_ms:20.0 "doomed")
@@ -487,10 +467,13 @@ let test_deadline_expiry () =
   Alcotest.(check bool) "expired counter advanced" true
     (Metrics.value (Metrics.counter "serve.expired") > expired_before)
 
-let test_queue_full_reject () =
+(* a full queue rejects synchronously, on an unlabelled server and on a
+   labelled fleet replica alike; the reject is never counted as admitted *)
+let test_queue_full_reject ?label () =
   let server =
     Server.create
-      ~config:{ Server.jobs = 1; max_batch = 1; flush_ms = 0.0; queue_capacity = 2 }
+      ~config:{ Server.default_config with queue_capacity = 2 }
+      ?label
       ~handler:(fun _ -> Unix.sleepf 0.3; P.verified ok_profile)
       ()
   in
@@ -511,6 +494,7 @@ let test_queue_full_reject () =
       Alcotest.failf "expected an immediate reject, got %s"
         (P.status_of_body r.P.rbody)
   | None -> Alcotest.fail "expected an immediate reject, got a pending ticket");
+  Alcotest.(check int) "the reject is not admitted" 3 (Server.admitted server);
   List.iter
     (fun t ->
       Alcotest.(check body_testable) "queued requests still complete"
@@ -521,7 +505,7 @@ let test_queue_full_reject () =
 let test_drain_completes_inflight () =
   let server =
     Server.create
-      ~config:{ Server.jobs = 2; max_batch = 4; flush_ms = 1.0; queue_capacity = 64 }
+      ~config:{ Server.default_config with jobs = 2; queue_capacity = 64 }
       ~handler:(fun _ -> Unix.sleepf 0.03; P.verified ok_profile)
       ()
   in
@@ -548,24 +532,20 @@ let test_drain_completes_inflight () =
   (* idempotent *)
   Server.drain server
 
-(* ---------------- continuous batching ---------------- *)
-
-(* the worker-loop path (no dispatcher, no batch assembly) through the
-   same contract the flush tests pin: everything completes in ticket
-   order, a full queue rejects synchronously, drain answers every
-   admitted request and labeled servers publish shard-tagged metrics *)
-let test_continuous_server () =
+(* the scheduling contract, run on an unlabelled server and on a
+   labelled fleet replica: everything completes with its id echoed, the
+   server publishes its queue-depth and in-flight gauges under its own
+   prefix, and submissions after drain reject *)
+let test_scheduling_contract ?label () =
+  let prefix = match label with None -> "serve" | Some l -> "serve." ^ l in
   let server =
     Server.create
-      ~config:
-        { Server.jobs = 2; max_batch = 8; flush_ms = 2.0; queue_capacity = 64 }
-      ~batching:`Continuous ~label:"s9"
+      ~config:{ Server.default_config with jobs = 2; queue_capacity = 64 }
+      ?label
       ~handler:(fun _ -> P.verified ok_profile)
       ()
   in
-  Alcotest.(check bool) "reports continuous" true
-    (Server.batching server = `Continuous);
-  Alcotest.(check (option string)) "reports its label" (Some "s9")
+  Alcotest.(check (option string)) "reports its label" label
     (Server.label server);
   let tickets =
     List.init 20 (fun i ->
@@ -577,13 +557,11 @@ let test_continuous_server () =
       Alcotest.(check string) "id echoed" (Printf.sprintf "c%d" i) r.P.rid;
       Alcotest.(check body_testable) "ok" (P.verified ok_profile) r.P.rbody)
     tickets;
-  (* the labeled twins of the fleet metrics exist (and the admitted
-     counter drove the per-shard requests gauge the health rows report) *)
   let keys = List.map fst (Metrics.summary ()) in
-  Alcotest.(check bool) "labeled queue-depth gauge" true
-    (List.mem "serve.s9.queue.depth.level" keys);
-  Alcotest.(check bool) "labeled in-flight gauge" true
-    (List.mem "serve.s9.in_flight.level" keys);
+  Alcotest.(check bool) (prefix ^ " queue-depth gauge") true
+    (List.mem (prefix ^ ".queue.depth.level") keys);
+  Alcotest.(check bool) (prefix ^ " in-flight gauge") true
+    (List.mem (prefix ^ ".in_flight.level") keys);
   Alcotest.(check int) "admitted counts accepts" 20 (Server.admitted server);
   Server.drain server;
   let late = Server.submit_async server (verify_request "late") in
@@ -592,37 +570,6 @@ let test_continuous_server () =
       Alcotest.(check bool) "late submission names draining" true
         (contains reason "draining")
   | _ -> Alcotest.fail "submission after drain must reject immediately");
-  Server.drain server
-
-let test_continuous_queue_full_reject () =
-  let server =
-    Server.create
-      ~config:
-        { Server.jobs = 1; max_batch = 1; flush_ms = 0.0; queue_capacity = 2 }
-      ~batching:`Continuous
-      ~handler:(fun _ -> Unix.sleepf 0.3; P.verified ok_profile)
-      ()
-  in
-  let blocker = Server.submit_async server (verify_request "b0") in
-  Unix.sleepf 0.02;
-  let queued =
-    [ Server.submit_async server (verify_request "b1");
-      Server.submit_async server (verify_request "b2") ]
-  in
-  let overflow = Server.submit_async server (verify_request "b3") in
-  (match Server.peek overflow with
-  | Some { P.rbody = P.Rejected reason; _ } ->
-      Alcotest.(check bool) "reason names the capacity" true
-        (contains reason "queue full (capacity 2)")
-  | Some r ->
-      Alcotest.failf "expected an immediate reject, got %s"
-        (P.status_of_body r.P.rbody)
-  | None -> Alcotest.fail "expected an immediate reject, got a pending ticket");
-  List.iter
-    (fun t ->
-      Alcotest.(check body_testable) "queued requests still complete"
-        (P.verified ok_profile) (Server.await t).P.rbody)
-    (blocker :: queued);
   Server.drain server
 
 (* ---------------- router ---------------- *)
@@ -787,11 +734,11 @@ let mixed_requests =
       ])
     [ 0; 1; 2 ]
 
-let serve_all ~jobs ~max_batch requests =
+let serve_all ~jobs requests =
   let engine = Engine.create ~lm:(small_lm 11) ~corpus:(Lazy.force corpus) () in
   let server =
     Server.create
-      ~config:{ Server.jobs; max_batch; flush_ms = 1.0; queue_capacity = 256 }
+      ~config:{ Server.default_config with jobs }
       ~handler:(Engine.handle engine) ()
   in
   let tickets = List.map (Server.submit_async server) requests in
@@ -800,7 +747,7 @@ let serve_all ~jobs ~max_batch requests =
   List.map (fun r -> (r.P.rid, r.P.rbody)) rs
 
 let test_jobs_determinism () =
-  let base = serve_all ~jobs:1 ~max_batch:1 mixed_requests in
+  let base = serve_all ~jobs:1 mixed_requests in
   (* no Failed bodies: every request kind actually executes *)
   List.iter
     (fun (id, b) ->
@@ -809,20 +756,19 @@ let test_jobs_determinism () =
       | _ -> ())
     base;
   List.iter
-    (fun (jobs, max_batch) ->
-      let got = serve_all ~jobs ~max_batch mixed_requests in
+    (fun jobs ->
+      let got = serve_all ~jobs mixed_requests in
       Alcotest.(check bool)
-        (Printf.sprintf "jobs=%d max_batch=%d identical to serial" jobs
-           max_batch)
+        (Printf.sprintf "jobs=%d identical to serial" jobs)
         true (got = base))
-    [ (2, 4); (4, 32) ]
+    [ 2; 4 ]
 
 (* one shared small model for the fleet tests: training is deterministic
    (same seed as serve_all's), so sharing the weights keeps the matrix
    comparable to the single-server baseline without retraining per shard *)
 let shared_lm = lazy (small_lm 11)
 
-let serve_fleet ~shards ~jobs ~batching requests =
+let serve_fleet ~shards ~jobs requests =
   let make_shard i =
     let tag = if shards = 1 then None else Some (Router.shard_name i) in
     let engine =
@@ -830,9 +776,8 @@ let serve_fleet ~shards ~jobs ~batching requests =
         ()
     in
     Server.create
-      ~config:
-        { Server.jobs; max_batch = 8; flush_ms = 1.0; queue_capacity = 256 }
-      ~batching ?label:tag ~handler:(Engine.handle engine) ()
+      ~config:{ Server.default_config with jobs }
+      ?label:tag ~handler:(Engine.handle engine) ()
   in
   let router = Router.create (Array.init shards make_shard) in
   let tickets = List.map (Router.submit_async router) requests in
@@ -840,11 +785,11 @@ let serve_fleet ~shards ~jobs ~batching requests =
   Router.drain router;
   List.map (fun r -> (r.P.rid, r.P.rbody)) rs
 
-(* the tentpole invariant: sharding and continuous batching move only
-   queueing and cache temperature, never replies — every (shards, jobs,
-   batching) corner returns the serial single-server run bit for bit *)
+(* sharding and worker count move only queueing and cache temperature,
+   never replies — every (shards, jobs) corner returns the serial
+   single-server run bit for bit *)
 let test_shards_determinism () =
-  let base = serve_all ~jobs:1 ~max_batch:1 mixed_requests in
+  let base = serve_all ~jobs:1 mixed_requests in
   List.iter
     (fun (id, b) ->
       match b with
@@ -852,36 +797,28 @@ let test_shards_determinism () =
       | _ -> ())
     base;
   List.iter
-    (fun (shards, jobs, batching) ->
-      let got = serve_fleet ~shards ~jobs ~batching mixed_requests in
+    (fun (shards, jobs) ->
+      let got = serve_fleet ~shards ~jobs mixed_requests in
       Alcotest.(check bool)
-        (Printf.sprintf "shards=%d jobs=%d %s identical to serial" shards jobs
-           (match batching with `Flush -> "flush" | `Continuous -> "continuous"))
+        (Printf.sprintf "shards=%d jobs=%d identical to serial" shards jobs)
         true (got = base))
-    [
-      (1, 2, `Continuous);
-      (2, 1, `Flush);
-      (2, 2, `Continuous);
-      (4, 2, `Continuous);
-    ]
+    [ (1, 2); (2, 1); (2, 2); (4, 2) ]
 
 (* a full queue on one shard rejects synchronously without touching its
    siblings, the per-shard health rows see exactly that picture, and a
    fleet drain answers everything every shard admitted *)
 let test_shard_queue_isolation () =
   let slow = Server.create
-      ~config:
-        { Server.jobs = 1; max_batch = 1; flush_ms = 0.0; queue_capacity = 2 }
-      ~batching:`Continuous ~label:"shard0"
+      ~config:{ Server.default_config with queue_capacity = 2 }
+      ~label:"shard0"
       ~handler:(fun req ->
         (match req.P.id with "blocker" -> Unix.sleepf 0.3 | _ -> ());
         P.verified ok_profile)
       ()
   in
   let live = Server.create
-      ~config:
-        { Server.jobs = 1; max_batch = 1; flush_ms = 0.0; queue_capacity = 64 }
-      ~batching:`Continuous ~label:"shard1"
+      ~config:{ Server.default_config with queue_capacity = 64 }
+      ~label:"shard1"
       ~handler:(fun _ -> P.verified ok_profile)
       ()
   in
@@ -964,24 +901,12 @@ let roundtrip_over fd requests =
   Unix.close fd;
   normalized
 
-(* the same pipelined batch over the Unix socket and the TCP listener
-   must come back byte-identical (timings zeroed, order ignored: clients
-   may pipeline and responses carry ids) *)
-let test_daemon_transport_identity () =
+(* run [f ~socket ~port] against an in-process daemon over [router],
+   listening on a fresh Unix socket and an ephemeral TCP port; the
+   daemon is stopped and joined however [f] returns *)
+let with_daemon router f =
   let socket = Filename.temp_file "dpoaf-daemon" ".sock" in
   Sys.remove socket;
-  let make_shard i =
-    let engine =
-      Engine.create ~lm:(Lazy.force shared_lm)
-        ~tag:(Router.shard_name i) ~corpus:(Lazy.force corpus) ()
-    in
-    Server.create
-      ~config:
-        { Server.jobs = 1; max_batch = 8; flush_ms = 1.0; queue_capacity = 64 }
-      ~batching:`Continuous ~label:(Router.shard_name i)
-      ~handler:(Engine.handle engine) ()
-  in
-  let router = Router.create (Array.init 2 make_shard) in
   let port = Atomic.make 0 in
   let daemon =
     Domain.spawn (fun () ->
@@ -989,44 +914,107 @@ let test_daemon_transport_identity () =
           ~on_tcp_listen:(fun p -> Atomic.set port p)
           ~router ())
   in
+  let stop () =
+    Daemon.request_stop ();
+    Domain.join daemon
+  in
   let deadline = Unix.gettimeofday () +. 10.0 in
   while Atomic.get port = 0 && Unix.gettimeofday () < deadline do
     Unix.sleepf 0.01
   done;
-  if Atomic.get port = 0 then Alcotest.fail "daemon did not bind its TCP port";
+  match
+    if Atomic.get port = 0 then Alcotest.fail "daemon did not bind its TCP port";
+    f ~socket ~port:(Atomic.get port)
+  with
+  | () ->
+      let stats = stop () in
+      Alcotest.(check bool) "socket file removed on shutdown" false
+        (Sys.file_exists socket);
+      stats
+  | exception e ->
+      ignore (stop ());
+      raise e
+
+let connect_unix socket =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  fd
+
+(* the same pipelined batch over the Unix socket and the TCP listener
+   must come back byte-identical (timings zeroed, order ignored: clients
+   may pipeline and responses carry ids) *)
+let test_daemon_transport_identity () =
+  let make_shard i =
+    let engine =
+      Engine.create ~lm:(Lazy.force shared_lm)
+        ~tag:(Router.shard_name i) ~corpus:(Lazy.force corpus) ()
+    in
+    Server.create
+      ~config:{ Server.default_config with queue_capacity = 64 }
+      ~label:(Router.shard_name i)
+      ~handler:(Engine.handle engine) ()
+  in
+  let router = Router.create (Array.init 2 make_shard) in
   let requests =
     List.filter
       (fun r ->
         match r.P.kind with P.Refine _ -> false | _ -> true)
       mixed_requests
   in
-  let over_unix () =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_UNIX socket);
-    roundtrip_over fd requests
+  let (_ : Daemon.stats) =
+    with_daemon router (fun ~socket ~port ->
+        let u = roundtrip_over (connect_unix socket) requests in
+        let t =
+          let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+          roundtrip_over fd requests
+        in
+        Alcotest.(check (list string)) "TCP equals Unix byte for byte" u t;
+        (* and both transports actually executed everything *)
+        List.iter
+          (fun line ->
+            match P.response_of_string line with
+            | Ok { P.rbody = P.Failed msg; rid; _ } ->
+                Alcotest.failf "%s failed: %s" rid msg
+            | Ok _ -> ()
+            | Error e -> Alcotest.fail e)
+          u)
   in
-  let over_tcp () =
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.connect fd
-      (Unix.ADDR_INET (Unix.inet_addr_loopback, Atomic.get port));
-    roundtrip_over fd requests
+  ()
+
+(* a line longer than the daemon's limit gets one error line naming the
+   limit and then EOF, without the daemon buffering it whole; other
+   connections keep being served *)
+let test_daemon_line_bound () =
+  let server = Server.create ~handler:(fun _ -> P.verified ok_profile) () in
+  let stats =
+    with_daemon (Router.create [| server |]) (fun ~socket ~port:_ ->
+        let fd = connect_unix socket in
+        (* a daemon that buffers the line forever fails here, not hangs *)
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+        let ic = Unix.in_channel_of_descr fd in
+        let oc = Unix.out_channel_of_descr fd in
+        output_string oc (String.make (Daemon.max_line_bytes + 1) 'x');
+        flush oc;
+        (match P.response_of_string (input_line ic) with
+        | Ok { P.rid = ""; rbody = P.Failed msg; _ } ->
+            Alcotest.(check bool) "error names the limit" true
+              (contains msg (string_of_int Daemon.max_line_bytes))
+        | Ok r ->
+            Alcotest.failf "expected an error line, got %s"
+              (P.status_of_body r.P.rbody)
+        | Error e -> Alcotest.fail e);
+        (match input_line ic with
+        | exception End_of_file -> ()
+        | line -> Alcotest.failf "expected EOF after the error, got %S" line);
+        Unix.close fd;
+        match roundtrip_over (connect_unix socket) [ verify_request "next" ] with
+        | [ line ] ->
+            Alcotest.(check bool) "a second connection is served" true
+              (contains line {|"status":"ok"|})
+        | _ -> Alcotest.fail "expected one response")
   in
-  let u = over_unix () in
-  let t = over_tcp () in
-  Alcotest.(check (list string)) "TCP equals Unix byte for byte" u t;
-  (* and both transports actually executed everything *)
-  List.iter
-    (fun line ->
-      match P.response_of_string line with
-      | Ok { P.rbody = P.Failed msg; rid; _ } ->
-          Alcotest.failf "%s failed: %s" rid msg
-      | Ok _ -> ()
-      | Error e -> Alcotest.fail e)
-    u;
-  Daemon.request_stop ();
-  let (_ : Daemon.stats) = Domain.join daemon in
-  Alcotest.(check bool) "socket file removed on shutdown" false
-    (Sys.file_exists socket)
+  Alcotest.(check int) "one protocol error" 1 stats.Daemon.protocol_errors
 
 let test_prompt_state_cache_transparent () =
   (* Repeated generations for one task hit the prompt-state cache, and the
@@ -1269,15 +1257,17 @@ let () =
         [ Alcotest.test_case "rotation under load" `Quick test_journal_rotation ] );
       ( "server",
         [
-          Alcotest.test_case "batch and complete" `Quick test_batch_and_complete;
+          Alcotest.test_case "batch and complete" `Quick
+            (test_scheduling_contract ?label:None);
+          Alcotest.test_case "continuous batching contract" `Quick
+            (test_scheduling_contract ~label:"s9");
           Alcotest.test_case "deadline expiry" `Quick test_deadline_expiry;
-          Alcotest.test_case "queue-full reject" `Quick test_queue_full_reject;
+          Alcotest.test_case "queue-full reject" `Quick
+            (test_queue_full_reject ?label:None);
+          Alcotest.test_case "continuous queue-full reject" `Quick
+            (test_queue_full_reject ~label:"s9");
           Alcotest.test_case "drain completes in-flight" `Quick
             test_drain_completes_inflight;
-          Alcotest.test_case "continuous batching contract" `Quick
-            test_continuous_server;
-          Alcotest.test_case "continuous queue-full reject" `Quick
-            test_continuous_queue_full_reject;
         ] );
       ( "router",
         [
@@ -1290,12 +1280,13 @@ let () =
         [
           Alcotest.test_case "TCP and Unix transport identity" `Quick
             test_daemon_transport_identity;
+          Alcotest.test_case "line length bound" `Quick test_daemon_line_bound;
         ] );
       ( "engine",
         [
           Alcotest.test_case "determinism across jobs" `Quick
             test_jobs_determinism;
-          Alcotest.test_case "determinism across shards and batching" `Quick
+          Alcotest.test_case "determinism across shards" `Quick
             test_shards_determinism;
           Alcotest.test_case "prompt-state cache transparent" `Quick
             test_prompt_state_cache_transparent;

@@ -110,9 +110,7 @@ stop_daemon
     cat "$OUT" >&2
     exit 1
 }
-# serve.shard.up replaces serve.batch here: the default scheduler is
-# continuous batching (no batch-assembly events), and every replica
-# announces itself at startup instead.
+# every replica announces itself at startup with serve.shard.up
 for ev in daemon.start daemon.stop serve.shard.up serve.request serve.drain; do
     grep -q "$ev" "$OUT" || {
         echo "obs-check: journal report missing $ev events" >&2
@@ -122,9 +120,13 @@ for ev in daemon.start daemon.stop serve.shard.up serve.request serve.drain; do
 done
 
 # ---- perf gate on a fresh results series ----------------------------
+# run from the work dir: the kernels section writes BENCH_kernels.json
+# into the working directory, which must not be the repository's
 RESULTS="$WORK/results"
-_build/default/bench/main.exe --fast --only kernels,serving --jobs 2 \
-    --results-dir "$RESULTS" >"$WORK/bench.txt" 2>&1 || {
+ROOT=$(pwd)
+(cd "$WORK" && "$ROOT/_build/default/bench/main.exe" --fast \
+    --only kernels,serving --jobs 2 --results-dir "$RESULTS" \
+    >"$WORK/bench.txt" 2>&1) || {
     echo "obs-check: bench run for the perf gate failed" >&2
     tail -20 "$WORK/bench.txt" >&2
     exit 1

@@ -4,8 +4,8 @@
 # and the ops plane answer on the Unix socket AND the TCP listener,
 # (b) a loadgen dump is byte-identical across the two transports,
 # (c) a short saturation sweep finds a knee and writes the sweep JSON,
-# (d) a 1-shard flush-batching daemon returns a byte-identical dump —
-# sharding and batching move only queueing, never replies — and
+# (d) a 1-shard, 2-worker daemon returns a byte-identical dump —
+# sharding and worker count move only queueing, never replies — and
 # (e) the serving_scale bench section writes a well-formed
 # BENCH_serving_scale.json whose max_rps_at_p99 joins the dated series.
 #
@@ -27,7 +27,7 @@ SCRATCH="$LOG $OUT $WORK"
 need_built "$CLI"
 need_built "$BENCH"
 
-# ---- 2-shard fleet, continuous batching, both transports -------------
+# ---- 2-shard fleet, both transports ---------------------------------
 start_daemon --shards 2 --tcp-port 0 --jobs 1 --seed 17
 
 # the ephemeral TCP port is announced on startup
@@ -98,15 +98,15 @@ grep -q 'sweep:' "$WORK/sweep.txt" || {
 
 stop_daemon "2-shard "
 
-# ---- shard-count / batching identity ---------------------------------
-# a 1-shard flush-batching daemon (same seed) must dump the same bytes:
+# ---- shard-count / worker-count identity -----------------------------
+# a 1-shard, 2-worker daemon (same seed) must dump the same bytes:
 # routing and the scheduler move only queueing and cache temperature
-start_daemon --shards 1 --batching flush --jobs 2 --seed 17
+start_daemon --shards 1 --jobs 2 --seed 17
 
 "$CLI" loadgen --socket "$SOCK" --rate 80 --duration 1 --seed 5 \
     --dump "$WORK/oneshard.dump" >/dev/null
 cmp -s "$WORK/unix.dump" "$WORK/oneshard.dump" || {
-    echo "scale-check: 1-shard flush dump differs from the 2-shard dump" >&2
+    echo "scale-check: 1-shard dump differs from the 2-shard dump" >&2
     diff "$WORK/unix.dump" "$WORK/oneshard.dump" | head -5 >&2
     exit 1
 }
@@ -140,4 +140,4 @@ grep -q '"max_rps_at_p99"' "$WORK/results/latest.json" || {
     exit 1
 }
 
-echo "scale-check: OK (2-shard fleet on both transports; dumps identical across transports, shard counts and batching; sweep + BENCH_serving_scale.json valid)"
+echo "scale-check: OK (2-shard fleet on both transports; dumps identical across transports and shard counts; sweep + BENCH_serving_scale.json valid)"
