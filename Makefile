@@ -14,14 +14,19 @@ bench:
 # The one-stop gate: full build, the lint + interface hygiene gates, the
 # whole test pyramid, a fast benchmark pass on two workers to exercise
 # the parallel scheduler, then the static-analysis and telemetry
-# round-trips.
+# round-trips.  The benchmark pass runs in _build/bench-check, so the
+# BENCH_*.json it writes stay out of the committed ones; its results
+# series still goes to bench/results, where perf_gate reads it.
 check:
 	dune build
 	$(MAKE) lint
 	$(MAKE) mli-check
 	$(MAKE) det-lint
 	dune runtest
-	dune exec bench/main.exe -- --fast --jobs 2
+	dune build bench/main.exe bench/perf_gate.exe
+	mkdir -p _build/bench-check
+	cd _build/bench-check && ../default/bench/main.exe --fast --jobs 2 \
+	  --results-dir $(CURDIR)/bench/results
 	dune exec bench/perf_gate.exe
 	$(MAKE) analysis-check
 	$(MAKE) trace-check
@@ -103,10 +108,15 @@ scale-check:
 # tolerance on any headline metric fails — 10% slower for wall-clock
 # metrics, 50% lower for throughput metrics, whose knees swing with box
 # load; first run pins a fresh baseline).  Re-pin
-# deliberately with `dune exec bench/perf_gate.exe -- --rebase`.
+# deliberately with `dune exec bench/perf_gate.exe -- --rebase`.  The
+# bench pass runs in _build/bench-check, like `check`'s, so the
+# committed BENCH_*.json are left alone.
 perf-gate:
 	dune build bench/main.exe bench/perf_gate.exe
-	dune exec bench/main.exe -- --fast --only kernels,serving,serving_scale,analysis,refine --jobs 2
+	mkdir -p _build/bench-check
+	cd _build/bench-check && ../default/bench/main.exe --fast \
+	  --only kernels,serving,serving_scale,analysis,refine --jobs 2 \
+	  --results-dir $(CURDIR)/bench/results
 	dune exec bench/perf_gate.exe
 
 # Ops-plane gate: daemon with an event journal on a temp socket, stats

@@ -1,4 +1,5 @@
 module Fsa = Dpoaf_automata.Fsa
+module Graph = Dpoaf_automata.Graph
 module Symbol = Dpoaf_logic.Symbol
 
 (* Transitions that can ever fire: unsatisfiable guards carry no behaviour,
@@ -7,19 +8,16 @@ module Symbol = Dpoaf_logic.Symbol
 let live_transitions (c : Fsa.t) =
   List.filter (fun (tr : Fsa.transition) -> Guards.satisfiable tr.Fsa.guard) c.Fsa.transitions
 
+(* Successor lists of [transitions], in transition order. *)
+let successors (c : Fsa.t) transitions =
+  let succs = Array.make c.Fsa.n_states [] in
+  List.iter
+    (fun (tr : Fsa.transition) -> succs.(tr.Fsa.src) <- tr.Fsa.dst :: succs.(tr.Fsa.src))
+    (List.rev transitions);
+  succs
+
 let reachable (c : Fsa.t) =
-  let seen = Array.make c.Fsa.n_states false in
-  let live = live_transitions c in
-  let rec visit q =
-    if not seen.(q) then begin
-      seen.(q) <- true;
-      List.iter
-        (fun (tr : Fsa.transition) -> if tr.Fsa.src = q then visit tr.Fsa.dst)
-        live
-    end
-  in
-  visit c.Fsa.init;
-  seen
+  Graph.reachable (successors c (live_transitions c)) ~roots:[ c.Fsa.init ]
 
 let unreachable_states c =
   let seen = reachable c in
@@ -81,58 +79,17 @@ let incompleteness (c : Fsa.t) =
 let epsilon_cycles (c : Fsa.t) =
   let seen = reachable c in
   let eps =
-    List.filter
-      (fun (tr : Fsa.transition) ->
-        Symbol.is_empty tr.Fsa.action && seen.(tr.Fsa.src) && seen.(tr.Fsa.dst))
-      (live_transitions c)
+    successors c
+      (List.filter
+         (fun (tr : Fsa.transition) ->
+           Symbol.is_empty tr.Fsa.action && seen.(tr.Fsa.src) && seen.(tr.Fsa.dst))
+         (live_transitions c))
   in
-  let succs q =
-    List.filter_map
-      (fun (tr : Fsa.transition) -> if tr.Fsa.src = q then Some tr.Fsa.dst else None)
-      eps
-  in
-  let n = c.Fsa.n_states in
-  let index = Array.make n (-1) in
-  let lowlink = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let stack = ref [] in
-  let next = ref 0 in
-  let sccs = ref [] in
-  let rec strong v =
-    index.(v) <- !next;
-    lowlink.(v) <- !next;
-    incr next;
-    stack := v :: !stack;
-    on_stack.(v) <- true;
-    List.iter
-      (fun w ->
-        if index.(w) < 0 then begin
-          strong w;
-          lowlink.(v) <- min lowlink.(v) lowlink.(w)
-        end
-        else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w))
-      (succs v);
-    if lowlink.(v) = index.(v) then begin
-      let rec popped acc =
-        match !stack with
-        | [] -> acc
-        | w :: rest ->
-            stack := rest;
-            on_stack.(w) <- false;
-            if w = v then w :: acc else popped (w :: acc)
-      in
-      sccs := popped [] :: !sccs
-    end
-  in
-  for v = 0 to n - 1 do
-    if index.(v) < 0 && seen.(v) then strong v
-  done;
+  let roots = List.filter (fun q -> seen.(q)) (List.init c.Fsa.n_states Fun.id) in
+  let { Graph.members; _ } = Graph.sccs eps ~roots in
   List.filter
-    (fun comp ->
-      match comp with
-      | [ q ] -> List.mem q (succs q)
-      | _ -> List.length comp > 1)
-    !sccs
+    (function [ q ] -> List.mem q eps.(q) | _ -> true)
+    (List.rev (Array.to_list members))
 
 let lint (c : Fsa.t) =
   let name q = c.Fsa.state_names.(q) in

@@ -3,6 +3,7 @@ module Symbol = Dpoaf_logic.Symbol
 module Fsa = Dpoaf_automata.Fsa
 module Ts = Dpoaf_automata.Ts
 module Sat = Dpoaf_automata.Satisfiability
+module Graph = Dpoaf_automata.Graph
 
 let rec propositional = function
   | Ltl.True | Ltl.False | Ltl.Atom _ -> true
@@ -52,14 +53,7 @@ let implications specs =
     specs
 
 let reachable_labels (m : Ts.t) =
-  let seen = Array.make (Ts.n_states m) false in
-  let rec visit q =
-    if not seen.(q) then begin
-      seen.(q) <- true;
-      List.iter visit (Ts.successors m q)
-    end
-  in
-  List.iter visit m.Ts.initial;
+  let seen = Graph.reachable m.Ts.succs ~roots:m.Ts.initial in
   List.filteri (fun q _ -> seen.(q)) (Array.to_list m.Ts.labels)
 
 (* A spec of shape □(a ⇒ c) with propositional [a] is vacuous against a

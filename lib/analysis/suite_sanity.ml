@@ -33,6 +33,7 @@ module Ts = Dpoaf_automata.Ts
 module Buchi = Dpoaf_automata.Buchi
 module Tableau = Dpoaf_automata.Tableau
 module Sat = Dpoaf_automata.Satisfiability
+module Graph = Dpoaf_automata.Graph
 
 (* ---------------- conflict cores ---------------- *)
 
@@ -190,48 +191,25 @@ let restrict anchor bodies =
 
 type realizability = Realizable | Unrealizable | Unknown
 
-exception Budget_exceeded
-
 (* Emptiness of the anchored product under generalized Buchi acceptance
-   (one accepting set per Det/Nondet component): BFS reachability over
-   tuples [anchor state; det states; nondet states], then Tarjan SCCs —
-   a nontrivial SCC touching every component's accepting set witnesses a
-   lasso every specification accepts. *)
+   (one accepting set per Det/Nondet component): explore the tuples
+   [anchor state; det states; nondet states] from the anchor's initial
+   states, then split them into SCCs — a nontrivial SCC touching every
+   component's accepting set witnesses a lasso every specification
+   accepts.
+   @raise Graph.Budget_exceeded past [budget] product states. *)
 let product_realizable anchor ~dets ~nbas ~budget =
   let nd = Array.length dets and nn = Array.length nbas in
-  let ids : (int array, int) Hashtbl.t = Hashtbl.create 256 in
-  let tuples = ref (Array.make 256 [||]) in
-  let count = ref 0 in
-  let id_of tup =
-    match Hashtbl.find_opt ids tup with
-    | Some i -> i
-    | None ->
-        let i = !count in
-        if i >= budget then raise Budget_exceeded;
-        Hashtbl.add ids tup i;
-        if i >= Array.length !tuples then begin
-          let bigger = Array.make (2 * Array.length !tuples) [||] in
-          Array.blit !tuples 0 bigger 0 i;
-          tuples := bigger
-        end;
-        !tuples.(i) <- tup;
-        incr count;
-        i
-  in
-  let consistent_succs nba q sigma =
-    List.filter
-      (fun q' ->
-        Buchi.consistent ~pos:nba.Buchi.pos.(q') ~neg:nba.Buchi.neg.(q') sigma)
-      nba.Buchi.succs.(q)
-  in
-  (* enumerate product tuples at anchor state [k]: deterministic parts
-     are fixed, nondeterministic parts range over their candidates *)
-  let expand k det_states (cands : int list array) f =
-    if not (Array.exists (( = ) []) cands) then begin
+  (* the product tuples at anchor state [k]: deterministic parts are
+     fixed, nondeterministic parts range over their candidates *)
+  let expand k det_states (cands : int list array) =
+    if Array.exists (( = ) []) cands then []
+    else begin
       let tup = Array.make (1 + nd + nn) k in
       Array.blit det_states 0 tup 1 nd;
+      let out = ref [] in
       let rec go i =
-        if i = nn then f (Array.copy tup)
+        if i = nn then out := Array.copy tup :: !out
         else
           List.iter
             (fun q ->
@@ -239,121 +217,45 @@ let product_realizable anchor ~dets ~nbas ~budget =
               go (i + 1))
             cands.(i)
       in
-      go 0
+      go 0;
+      List.rev !out
     end
   in
-  let edges = Hashtbl.create 256 in
-  let seen = Hashtbl.create 256 in
-  let queue = Queue.create () in
-  let push tup =
-    let i = id_of tup in
-    if not (Hashtbl.mem seen i) then begin
-      Hashtbl.add seen i ();
-      Queue.add i queue
-    end;
-    i
+  let consistent nba sigma =
+    List.filter (fun q ->
+        Buchi.consistent ~pos:nba.Buchi.pos.(q) ~neg:nba.Buchi.neg.(q) sigma)
   in
-  List.iter
-    (fun k ->
-      let sigma = anchor.labels.(k) in
-      let det0 =
-        Array.map (fun m -> m.m_step m.m_start sigma) dets
-      in
-      let cands =
-        Array.map
-          (fun nba ->
-            List.filter
-              (fun q ->
-                Buchi.consistent ~pos:nba.Buchi.pos.(q)
-                  ~neg:nba.Buchi.neg.(q) sigma)
-              nba.Buchi.initial)
-          nbas
-      in
-      expand k det0 cands (fun t -> ignore (push t)))
-    anchor.initial;
-  while not (Queue.is_empty queue) do
-    let i = Queue.pop queue in
-    let tup = !tuples.(i) in
-    let k = tup.(0) in
-    let out = ref [] in
-    List.iter
+  let initial =
+    List.concat_map
+      (fun k ->
+        let sigma = anchor.labels.(k) in
+        expand k
+          (Array.map (fun m -> m.m_step m.m_start sigma) dets)
+          (Array.map (fun nba -> consistent nba sigma nba.Buchi.initial) nbas))
+      anchor.initial
+  in
+  let succs tup =
+    List.concat_map
       (fun k' ->
         let sigma = anchor.labels.(k') in
-        let det' =
-          Array.mapi (fun di m -> m.m_step tup.(1 + di) sigma) dets
-        in
-        let cands =
-          Array.mapi (fun ni nba -> consistent_succs nba tup.(1 + nd + ni) sigma) nbas
-        in
-        expand k' det' cands (fun t -> out := push t :: !out))
-      anchor.succs.(k);
-    Hashtbl.replace edges i (List.sort_uniq compare !out)
-  done;
-  let nstates = !count in
-  let tuple_arr = !tuples in
-  let get_edges v = try Hashtbl.find edges v with Not_found -> [] in
-  let index = Array.make (max nstates 1) (-1) in
-  let low = Array.make (max nstates 1) 0 in
-  let onstack = Array.make (max nstates 1) false in
-  let stack = ref [] in
-  let idx = ref 0 in
-  let good = ref false in
-  let rec strong v =
-    index.(v) <- !idx;
-    low.(v) <- !idx;
-    incr idx;
-    stack := v :: !stack;
-    onstack.(v) <- true;
-    List.iter
-      (fun w ->
-        if index.(w) < 0 then begin
-          strong w;
-          low.(v) <- min low.(v) low.(w)
-        end
-        else if onstack.(w) then low.(v) <- min low.(v) index.(w))
-      (get_edges v);
-    if low.(v) = index.(v) then begin
-      let rec pop acc =
-        match !stack with
-        | w :: rest ->
-            stack := rest;
-            onstack.(w) <- false;
-            if w = v then w :: acc else pop (w :: acc)
-        | [] -> acc
-      in
-      let scc = pop [] in
-      let inscc = Hashtbl.create 16 in
-      List.iter (fun v -> Hashtbl.replace inscc v ()) scc;
-      let nontrivial =
-        List.exists
-          (fun v -> List.exists (Hashtbl.mem inscc) (get_edges v))
-          scc
-      in
-      if nontrivial then begin
-        let det_ok = Array.make (max nd 1) (nd = 0) in
-        let nba_ok = Array.make (max nn 1) (nn = 0) in
-        List.iter
-          (fun v ->
-            let tup = tuple_arr.(v) in
-            for di = 0 to nd - 1 do
-              if dets.(di).m_acc tup.(1 + di) then det_ok.(di) <- true
-            done;
-            for ni = 0 to nn - 1 do
-              if nbas.(ni).Buchi.accepting.(tup.(1 + nd + ni)) then
-                nba_ok.(ni) <- true
-            done)
-          scc;
-        if
-          Array.for_all (fun b -> b) det_ok
-          && Array.for_all (fun b -> b) nba_ok
-        then good := true
-      end
-    end
+        expand k'
+          (Array.mapi (fun di m -> m.m_step tup.(1 + di) sigma) dets)
+          (Array.mapi
+             (fun ni nba -> consistent nba sigma nba.Buchi.succs.(tup.(1 + nd + ni)))
+             nbas))
+      anchor.succs.(tup.(0))
   in
-  for v = 0 to nstates - 1 do
-    if index.(v) < 0 then strong v
-  done;
-  !good
+  let g = Graph.explore ~budget ~initial ~succs () in
+  let { Graph.members; _ } = Graph.sccs g.Graph.succs ~roots:g.Graph.roots in
+  let hits scc slot acc = List.exists (fun v -> acc g.Graph.states.(v).(slot)) scc in
+  let fair scc =
+    (match scc with [ v ] -> List.mem v g.Graph.succs.(v) | _ -> true)
+    && List.for_all (fun di -> hits scc (1 + di) dets.(di).m_acc) (List.init nd Fun.id)
+    && List.for_all
+         (fun ni -> hits scc (1 + nd + ni) (Array.get nbas.(ni).Buchi.accepting))
+         (List.init nn Fun.id)
+  in
+  Array.exists fair members
 
 let default_budget = 50_000
 
@@ -377,7 +279,7 @@ let realizable ~model ~actions ?(budget = default_budget) specs =
     match product_realizable restricted ~dets ~nbas ~budget with
     | true -> Realizable
     | false -> Unrealizable
-    | exception Budget_exceeded -> Unknown
+    | exception Graph.Budget_exceeded -> Unknown
 
 (* Deletion-based minimization: drop each member that leaves the rest
    unrealizable.  Minimal w.r.t. deletion; an Unknown keeps the member

@@ -2,19 +2,13 @@ module Fsa = Dpoaf_automata.Fsa
 module Ts = Dpoaf_automata.Ts
 module Kripke = Dpoaf_automata.Kripke
 module Product = Dpoaf_automata.Product
+module Graph = Dpoaf_automata.Graph
 
 (* The Kripke encoding of M ⊗ C has one state per product edge, labeled
    λ_M(p) ∪ a over P ∪ P_A — so a propositional antecedent can be evaluated
    directly on each reachable label, no atoms left free. *)
 let reachable_labels (k : Kripke.t) =
-  let seen = Array.make (Kripke.n_states k) false in
-  let rec visit q =
-    if not seen.(q) then begin
-      seen.(q) <- true;
-      List.iter visit k.Kripke.succs.(q)
-    end
-  in
-  List.iter visit k.Kripke.initial;
+  let seen = Graph.reachable k.Kripke.succs ~roots:k.Kripke.initial in
   List.filteri (fun q _ -> seen.(q)) (Array.to_list k.Kripke.labels)
 
 let vacuous_in kripke ~specs ~satisfied =

@@ -1,192 +1,31 @@
 type lasso = { prefix : int list; cycle : int list }
 
-(* Product states are (kripke state, automaton state) pairs, interned to
-   dense integers on the fly. *)
-type graph = {
-  states : (int * int) array;
-  succs : int list array;
-  initial : int list;
-  accepting : bool array;
-}
-
-let build_product (k : Kripke.t) (a : Buchi.nba) =
-  let index = Hashtbl.create 256 in
-  let pairs = ref [] in
-  let count = ref 0 in
-  let intern s =
-    match Hashtbl.find_opt index s with
-    | Some i -> i
-    | None ->
-        let i = !count in
-        incr count;
-        Hashtbl.add index s i;
-        pairs := s :: !pairs;
-        i
-  in
-  let consistent ks bs =
-    Buchi.consistent ~pos:a.Buchi.pos.(bs) ~neg:a.Buchi.neg.(bs) k.Kripke.labels.(ks)
-  in
-  let initial_pairs =
-    List.concat_map
-      (fun ks ->
-        List.filter_map
-          (fun bs -> if consistent ks bs then Some (ks, bs) else None)
-          a.Buchi.initial)
-      k.Kripke.initial
-  in
-  let initial = List.map intern initial_pairs in
-  let succs_tbl = Hashtbl.create 256 in
-  let worklist = Queue.create () in
-  List.iter2 (fun i p -> Queue.add (i, p) worklist) initial initial_pairs;
-  while not (Queue.is_empty worklist) do
-    let i, (ks, bs) = Queue.pop worklist in
-    if not (Hashtbl.mem succs_tbl i) then begin
-      Hashtbl.add succs_tbl i [];
-      let out =
-        List.concat_map
-          (fun ks' ->
-            List.filter_map
-              (fun bs' ->
-                if consistent ks' bs' then Some ((ks', bs'), intern (ks', bs'))
-                else None)
-              a.Buchi.succs.(bs))
-          k.Kripke.succs.(ks)
-      in
-      Hashtbl.replace succs_tbl i (List.map snd out);
-      List.iter (fun (pair, j) -> Queue.add (j, pair) worklist) out
-    end
-  done;
-  let states = Array.of_list (List.rev !pairs) in
-  let n = !count in
-  let succs = Array.make n [] in
-  Hashtbl.iter (fun i out -> succs.(i) <- out) succs_tbl;
-  let accepting = Array.map (fun (_, bs) -> a.Buchi.accepting.(bs)) states in
-  { states; succs; initial = List.sort_uniq compare initial; accepting }
-
-(* Tarjan's strongly connected components over the part reachable from the
-   initial states. *)
-let sccs (g : graph) =
-  let n = Array.length g.states in
-  let index = Array.make n (-1) in
-  let lowlink = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let stack = ref [] in
-  let next_index = ref 0 in
-  let comp_of = Array.make n (-1) in
-  let ncomp = ref 0 in
-  let rec strong v =
-    index.(v) <- !next_index;
-    lowlink.(v) <- !next_index;
-    incr next_index;
-    stack := v :: !stack;
-    on_stack.(v) <- true;
-    List.iter
-      (fun w ->
-        if index.(w) < 0 then begin
-          strong w;
-          lowlink.(v) <- min lowlink.(v) lowlink.(w)
-        end
-        else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w))
-      g.succs.(v);
-    if lowlink.(v) = index.(v) then begin
-      let continue = ref true in
-      while !continue do
-        match !stack with
-        | [] -> continue := false
-        | w :: rest ->
-            stack := rest;
-            on_stack.(w) <- false;
-            comp_of.(w) <- !ncomp;
-            if w = v then continue := false
-      done;
-      incr ncomp
-    end
-  in
-  List.iter (fun v -> if index.(v) < 0 then strong v) g.initial;
-  comp_of
-
-let bfs_path g ~sources ~target ~allowed =
-  (* Shortest path from any source to [target] through states satisfying
-     [allowed]; returns the state list including both endpoints. *)
-  let n = Array.length g.states in
-  let parent = Array.make n (-2) in
-  let q = Queue.create () in
-  List.iter
-    (fun s ->
-      if allowed s && parent.(s) = -2 then begin
-        parent.(s) <- -1;
-        Queue.add s q
-      end)
-    sources;
-  let found = ref None in
-  while !found = None && not (Queue.is_empty q) do
-    let v = Queue.pop q in
-    if v = target then found := Some v
-    else
-      List.iter
-        (fun w ->
-          if allowed w && parent.(w) = -2 then begin
-            parent.(w) <- v;
-            Queue.add w q
-          end)
-        g.succs.(v)
-  done;
-  match !found with
-  | None -> None
-  | Some v ->
-      let rec unwind v acc =
-        if parent.(v) = -1 then v :: acc else unwind parent.(v) (v :: acc)
-      in
-      Some (unwind v [])
-
+(* The product state (kripke state ks, automaton state bs) is the int
+   [ks * a.n + bs]; successors are listed Kripke-major, as the product
+   numbering and therefore the lassos depend on that order. *)
 let find_accepting_lasso (k : Kripke.t) (a : Buchi.nba) =
-  let g = build_product k a in
-  if g.initial = [] then None
-  else begin
-    let comp_of = sccs g in
-    let n = Array.length g.states in
-    (* A component is "fair" if it contains an accepting state and at least
-       one internal edge (nontrivial SCC or a self-loop). *)
-    let nontrivial = Hashtbl.create 16 in
-    for v = 0 to n - 1 do
-      if comp_of.(v) >= 0 then
-        List.iter
-          (fun w ->
-            if comp_of.(w) = comp_of.(v) then Hashtbl.replace nontrivial comp_of.(v) ())
-          g.succs.(v)
-    done;
-    let seed = ref None in
-    for v = 0 to n - 1 do
-      if !seed = None && comp_of.(v) >= 0 && g.accepting.(v)
-         && Hashtbl.mem nontrivial comp_of.(v)
-      then seed := Some v
-    done;
-    match !seed with
-    | None -> None
-    | Some s ->
-        let prefix_path =
-          match
-            bfs_path g ~sources:g.initial ~target:s ~allowed:(fun v -> comp_of.(v) >= 0)
-          with
-          | Some p -> p
-          | None -> assert false
-        in
-        let in_comp v = comp_of.(v) = comp_of.(s) in
-        let cycle_path =
-          (* shortest nonempty cycle through s inside its component *)
-          let starts = List.filter in_comp g.succs.(s) in
-          match bfs_path g ~sources:starts ~target:s ~allowed:in_comp with
-          | Some p -> p
-          | None -> assert false
-        in
-        (* prefix_path = v0..s ; cycle_path = s1..s with s1 ∈ succs(s).
-           Lasso: prefix = v0..(before s), cycle = s :: s1..(before final s). *)
-        let rec drop_last = function
-          | [] | [ _ ] -> []
-          | x :: rest -> x :: drop_last rest
-        in
-        let prefix_states = drop_last prefix_path in
-        let cycle_states = s :: drop_last cycle_path in
-        let kripke_of = List.map (fun v -> fst g.states.(v)) in
-        Some { prefix = kripke_of prefix_states; cycle = kripke_of cycle_states }
-  end
+  let nb = a.Buchi.n in
+  let pairs kss bss =
+    List.fold_right
+      (fun ks acc ->
+        List.fold_right
+          (fun bs acc ->
+            if
+              Buchi.consistent ~pos:a.Buchi.pos.(bs) ~neg:a.Buchi.neg.(bs)
+                k.Kripke.labels.(ks)
+            then (ks * nb) + bs :: acc
+            else acc)
+          bss acc)
+      kss []
+  in
+  let g =
+    Graph.explore
+      ~initial:(pairs k.Kripke.initial a.Buchi.initial)
+      ~succs:(fun p -> pairs k.Kripke.succs.(p / nb) a.Buchi.succs.(p mod nb))
+      ()
+  in
+  Graph.fair_lasso g.Graph.succs ~roots:g.Graph.roots ~accepting:(fun v ->
+      a.Buchi.accepting.(g.Graph.states.(v) mod nb))
+  |> Option.map (fun (prefix, cycle) ->
+         let kripke_of = List.map (fun v -> g.Graph.states.(v) / nb) in
+         { prefix = kripke_of prefix; cycle = kripke_of cycle })

@@ -1,114 +1,11 @@
-module Ltl = Dpoaf_logic.Ltl
-module Symbol = Dpoaf_logic.Symbol
-
-(* Accepting-lasso search directly on the NBA graph.  Tableau construction
-   already discards contradictory nodes, so every state is enterable by the
-   symbol consisting of exactly its positive atoms. *)
-let find_lasso (a : Buchi.nba) =
-  let n = a.Buchi.n in
-  if n = 0 || a.Buchi.initial = [] then None
-  else begin
-    (* Tarjan SCC over the reachable part *)
-    let index = Array.make n (-1) in
-    let lowlink = Array.make n 0 in
-    let on_stack = Array.make n false in
-    let stack = ref [] in
-    let next_index = ref 0 in
-    let comp_of = Array.make n (-1) in
-    let ncomp = ref 0 in
-    let rec strong v =
-      index.(v) <- !next_index;
-      lowlink.(v) <- !next_index;
-      incr next_index;
-      stack := v :: !stack;
-      on_stack.(v) <- true;
-      List.iter
-        (fun w ->
-          if index.(w) < 0 then begin
-            strong w;
-            lowlink.(v) <- min lowlink.(v) lowlink.(w)
-          end
-          else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w))
-        a.Buchi.succs.(v);
-      if lowlink.(v) = index.(v) then begin
-        let continue = ref true in
-        while !continue do
-          match !stack with
-          | [] -> continue := false
-          | w :: rest ->
-              stack := rest;
-              on_stack.(w) <- false;
-              comp_of.(w) <- !ncomp;
-              if w = v then continue := false
-        done;
-        incr ncomp
-      end
-    in
-    List.iter (fun v -> if index.(v) < 0 then strong v) a.Buchi.initial;
-    let nontrivial = Hashtbl.create 16 in
-    for v = 0 to n - 1 do
-      if comp_of.(v) >= 0 then
-        List.iter
-          (fun w ->
-            if comp_of.(w) = comp_of.(v) then Hashtbl.replace nontrivial comp_of.(v) ())
-          a.Buchi.succs.(v)
-    done;
-    let seed = ref None in
-    for v = 0 to n - 1 do
-      if !seed = None && comp_of.(v) >= 0 && a.Buchi.accepting.(v)
-         && Hashtbl.mem nontrivial comp_of.(v)
-      then seed := Some v
-    done;
-    match !seed with
-    | None -> None
-    | Some s ->
-        let bfs ~sources ~target ~allowed =
-          let parent = Array.make n (-2) in
-          let q = Queue.create () in
-          List.iter
-            (fun v ->
-              if allowed v && parent.(v) = -2 then begin
-                parent.(v) <- -1;
-                Queue.add v q
-              end)
-            sources;
-          let found = ref None in
-          while !found = None && not (Queue.is_empty q) do
-            let v = Queue.pop q in
-            if v = target then found := Some v
-            else
-              List.iter
-                (fun w ->
-                  if allowed w && parent.(w) = -2 then begin
-                    parent.(w) <- v;
-                    Queue.add w q
-                  end)
-                a.Buchi.succs.(v)
-          done;
-          Option.map
-            (fun v ->
-              let rec unwind v acc =
-                if parent.(v) = -1 then v :: acc else unwind parent.(v) (v :: acc)
-              in
-              unwind v [])
-            !found
-        in
-        let prefix_path =
-          Option.get (bfs ~sources:a.Buchi.initial ~target:s ~allowed:(fun v -> comp_of.(v) >= 0))
-        in
-        let in_comp v = comp_of.(v) = comp_of.(s) in
-        let cycle_path =
-          Option.get
-            (bfs ~sources:(List.filter in_comp a.Buchi.succs.(s)) ~target:s
-               ~allowed:in_comp)
-        in
-        let rec drop_last = function [] | [ _ ] -> [] | x :: r -> x :: drop_last r in
-        Some (drop_last prefix_path, s :: drop_last cycle_path)
-  end
-
 let witness phi =
+  (* Tableau construction already discards contradictory nodes, so every
+     state is enterable by the symbol of exactly its positive atoms. *)
   let nba = Buchi.degeneralize (Tableau.gnba_of_ltl phi) in
-  match find_lasso nba with
+  match
+    Graph.fair_lasso nba.Buchi.succs ~roots:nba.Buchi.initial
+      ~accepting:(fun v -> nba.Buchi.accepting.(v))
+  with
   | None -> None
   | Some (prefix, cycle) ->
       let label v = nba.Buchi.pos.(v) in

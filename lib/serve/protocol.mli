@@ -199,8 +199,3 @@ val request_to_string : request -> string
 val request_of_string : string -> (request, string) result
 val response_to_string : response -> string
 val response_of_string : string -> (response, string) result
-
-val json_of_request : request -> Dpoaf_util.Json.t
-val request_of_json : Dpoaf_util.Json.t -> (request, string) result
-val json_of_response : response -> Dpoaf_util.Json.t
-val response_of_json : Dpoaf_util.Json.t -> (response, string) result

@@ -226,7 +226,6 @@ let create ?(config = default_config) ?batching:_ ?label ?journal ~handler ()
 
 let config t = t.config
 let label t = t.label
-let queue_depth t = Admission.depth t.queue
 let admitted t = Atomic.get t.admitted
 
 type health = { queue_depth : int; in_flight_batches : int; draining : bool }

@@ -85,7 +85,6 @@ val drain : t -> unit
 
 val config : t -> config
 val label : t -> string option
-val queue_depth : t -> int
 
 val admitted : t -> int
 (** Requests this instance has admitted over its lifetime — instance

@@ -532,6 +532,128 @@ let prop_negation_exclusive =
       let holds f = Model_checker.is_holds (Model_checker.check_kripke k f) in
       holds phi <> holds (Ltl.neg phi))
 
+(* --- the graph kernel against brute-force oracles --- *)
+
+let gen_graph =
+  let open QCheck.Gen in
+  int_range 1 12 >>= fun n ->
+  array_repeat n (list_size (0 -- 3) (int_range 0 (n - 1))) >>= fun succs ->
+  list_size (0 -- 3) (int_range 0 (n - 1)) >>= fun roots ->
+  array_repeat n bool >>= fun accepting -> return (succs, roots, accepting)
+
+let arb_graph =
+  let print (succs, roots, accepting) =
+    let ints l = "[" ^ String.concat ";" (List.map string_of_int l) ^ "]" in
+    Printf.sprintf "succs=%s roots=%s accepting=%s"
+      (String.concat " " (Array.to_list (Array.map ints succs)))
+      (ints roots)
+      (ints (List.filter (fun v -> accepting.(v)) (List.init (Array.length succs) Fun.id)))
+  in
+  QCheck.make ~print gen_graph
+
+(* reflexive-transitive closure by Floyd-Warshall *)
+let closure succs =
+  let n = Array.length succs in
+  let r = Array.init n (fun u -> Array.init n (fun v -> u = v || List.mem v succs.(u))) in
+  for k = 0 to n - 1 do
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        if r.(i).(k) && r.(k).(j) then r.(i).(j) <- true
+      done
+    done
+  done;
+  r
+
+let oracle_reachable succs roots =
+  let r = closure succs in
+  Array.init (Array.length succs) (fun v -> List.exists (fun u -> r.(u).(v)) roots)
+
+let prop_graph_reachable =
+  QCheck.Test.make ~count:500 ~name:"graph: reachable matches the closure" arb_graph
+    (fun (succs, roots, _) ->
+      Graph.reachable succs ~roots = oracle_reachable succs roots)
+
+let prop_graph_sccs =
+  QCheck.Test.make ~count:500 ~name:"graph: sccs are mutual reachability" arb_graph
+    (fun (succs, roots, _) ->
+      let r = closure succs and reach = oracle_reachable succs roots in
+      let { Graph.comp; members } = Graph.sccs succs ~roots in
+      let n = Array.length succs in
+      let states = List.init n Fun.id in
+      List.for_all (fun v -> (comp.(v) >= 0) = reach.(v)) states
+      && List.for_all
+           (fun u ->
+             List.for_all
+               (fun v ->
+                 (not (reach.(u) && reach.(v)))
+                 || (comp.(u) = comp.(v)) = (r.(u).(v) && r.(v).(u)))
+               states)
+           states
+      && Array.for_all Fun.id
+           (Array.mapi
+              (fun c vs ->
+                List.sort compare vs
+                = List.filter (fun v -> comp.(v) = c) states)
+              members))
+
+(* [v] lies on a cycle iff one of its successors reaches it back *)
+let on_cycle succs r v = List.exists (fun w -> r.(w).(v)) succs.(v)
+
+let prop_graph_fair_lasso =
+  QCheck.Test.make ~count:1000 ~name:"graph: fair_lasso finds exactly the fair lassos"
+    arb_graph (fun (succs, roots, accepting) ->
+      let r = closure succs and reach = oracle_reachable succs roots in
+      let fair =
+        List.exists
+          (fun v -> reach.(v) && accepting.(v) && on_cycle succs r v)
+          (List.init (Array.length succs) Fun.id)
+      in
+      match Graph.fair_lasso succs ~roots ~accepting:(Array.get accepting) with
+      | None -> not fair
+      | Some (prefix, cycle) ->
+          let path = prefix @ cycle in
+          let rec follows = function
+            | u :: (v :: _ as rest) -> List.mem v succs.(u) && follows rest
+            | _ -> true
+          in
+          fair && cycle <> []
+          && List.mem (List.hd path) roots
+          && follows path
+          && List.mem (List.hd cycle) succs.(List.nth cycle (List.length cycle - 1))
+          && List.exists (Array.get accepting) cycle)
+
+let prop_graph_explore =
+  (* exploring the graph through its successor function numbers the
+     reachable part in first-seen breadth-first order, roots first *)
+  let dedup l =
+    List.rev (List.fold_left (fun acc x -> if List.mem x acc then acc else x :: acc) [] l)
+  in
+  QCheck.Test.make ~count:500 ~name:"graph: explore interns the reachable part"
+    QCheck.(pair arb_graph (int_range 0 13))
+    (fun ((succs, roots, _), budget) ->
+      let order = ref (dedup roots) and i = ref 0 in
+      while !i < List.length !order do
+        order := dedup (!order @ succs.(List.nth !order !i));
+        incr i
+      done;
+      let number v =
+        let rec find i = function
+          | [] -> assert false
+          | x :: rest -> if x = v then i else find (i + 1) rest
+        in
+        find 0 !order
+      in
+      match Graph.explore ~budget ~initial:roots ~succs:(Array.get succs) () with
+      | exception Graph.Budget_exceeded -> List.length !order > budget
+      | g ->
+          List.length !order <= budget
+          && Array.to_list g.Graph.states = !order
+          && g.Graph.roots = List.init (List.length (dedup roots)) Fun.id
+          && Array.for_all Fun.id
+               (Array.mapi
+                  (fun i out -> out = List.map number succs.(g.Graph.states.(i)))
+                  g.Graph.succs))
+
 let qsuite name tests =
   (name, List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests)
 
@@ -595,5 +717,10 @@ let () =
           prop_cex_violates; prop_holds_on_random_lassos; prop_negation_exclusive;
           prop_smv_roundtrip; prop_sat_excluded_middle; prop_sat_witness_valid;
           prop_sat_agrees_with_mc;
+        ];
+      qsuite "graph"
+        [
+          prop_graph_reachable; prop_graph_sccs; prop_graph_fair_lasso;
+          prop_graph_explore;
         ];
     ]
