@@ -1,277 +1,164 @@
-(* Perf-regression gate over the dated bench results series.
+(* Perf gate: compares perfbench result lines with a pinned baseline.
 
-   bench/main.exe writes <results-dir>/<UTC-stamp>.json and latest.json
-   on every run that produces headline numbers (fig8 training-loop wall
-   clock, generation latency, serve batch p99 — lower-is-better — and
-   the serving-scale throughput knee max_rps_at_p99 — higher-is-better).
-   This gate compares the results series against the pinned
-   baseline.json:
+     perf_gate BASELINE RESULTS_DIR
 
-     perf_gate [--results-dir DIR] [--tolerance-pct X]
-               [--rps-tolerance-pct Y] [--window N] [--rebase]
+   RESULTS_DIR/<workload>.json holds the last stdout line of
 
-   Wall-clock on a shared machine is noisy in one direction only —
-   contention adds time, nothing subtracts it — so the gate compares
-   per-metric MINIMA over the newest N dated runs (default 5, config
-   must match latest.json) rather than a single sample.  A genuine
-   regression slows every run in the window; scheduler noise does not.
-   Throughput metrics (any headline whose name contains "rps") are the
-   mirror image: noise only ever subtracts requests per second, so the
-   window statistic is the MAXIMUM and a regression is the value falling
-   below baseline, not rising above it.
+     bash perfbench/run.sh --workload <workload> --seed 1 --seconds 1 --trace 0
 
-   - no baseline yet: the window statistic is pinned as baseline.json and
-     the gate passes ("fresh baseline recorded") — the first run on a
-     new machine pins its own numbers;
-   - any headline metric whose window statistic is more than X% (default
-     10; throughput metrics use the wider Y, default 50 — see
-     [rps_tolerance_pct]) worse than the baseline (above it for
-     wall-clock metrics, below it for throughput metrics): exit 1,
-     listing the offending metrics;
-   - config mismatch (different --fast or --jobs) between baseline and
-     latest: exit 2 — the runs are not comparable, re-baseline;
-   - --rebase: re-pin baseline.json from the current window and pass.
+   for every workload the baseline names.  Each workload must answer
+   [correct] with no failed operation, and each pinned metric must match
+   its baseline entry, which takes one of three forms:
 
-   Wired into `make check` as `make perf-gate`. *)
+     {"value": v, "rel": r}      |x - v| <= r * v
+     {"value": v, "abs": a}      |x - v| <= a
+     {"value": v, "max_rel": r}  x <= v * (1 + r)   (lower is better)
+
+   Only metrics that do not depend on run length at a fixed seed belong
+   in the baseline; see the perf-gate target in the Makefile.  On any
+   mismatch the gate names the workload and metric and exits 1; when
+   every answer check passed and every metric was present, it also
+   prints the baseline that the measured values would pin.  A missing
+   or malformed file exits 2. *)
 
 module Json = Dpoaf_util.Json
 
-let die code fmt =
+let die fmt =
   Printf.ksprintf
     (fun msg ->
       prerr_endline ("perf-gate: " ^ msg);
-      exit code)
+      exit 2)
     fmt
 
-let string_opt flag =
-  let rec find i =
-    if i >= Array.length Sys.argv - 1 then None
-    else if Sys.argv.(i) = flag then Some Sys.argv.(i + 1)
-    else find (i + 1)
+let read_json path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg -> die "%s" msg
+  | s -> (
+      match Json.parse (String.trim s) with
+      | Ok j -> j
+      | Error msg -> die "%s: malformed JSON: %s" path msg)
+
+let fields path = function
+  | Json.Obj kvs -> kvs
+  | _ -> die "%s: expected an object" path
+
+type tolerance = Rel of float | Abs of float | Max_rel of float
+
+let tolerance_of path name entry =
+  let num k = Option.bind (Json.member k entry) Json.to_float in
+  let tol =
+    match (num "rel", num "abs", num "max_rel") with
+    | Some r, None, None -> Rel r
+    | None, Some a, None -> Abs a
+    | None, None, Some r -> Max_rel r
+    | _ -> die "%s: %s needs exactly one of rel, abs, max_rel" path name
   in
-  find 1
+  match num "value" with
+  | Some v -> (v, tol)
+  | None -> die "%s: %s has no value" path name
 
-let results_dir =
-  match string_opt "--results-dir" with
-  | Some d -> d
-  | None -> (
-      match Sys.getenv_opt "DPOAF_RESULTS_DIR" with
-      | Some d -> d
-      | None -> "bench/results")
+let within x (v, tol) =
+  match tol with
+  | Rel r -> Float.abs (x -. v) <= r *. Float.abs v
+  | Abs a -> Float.abs (x -. v) <= a
+  | Max_rel r -> x <= v *. (1.0 +. r)
 
-let tolerance_pct =
-  match string_opt "--tolerance-pct" with
-  | None -> 10.0
-  | Some s -> (
-      match float_of_string_opt s with
-      | Some x when x >= 0.0 -> x
-      | _ -> die 2 "--tolerance-pct expects a non-negative number, got %S" s)
+let describe = function
+  | Rel r -> Printf.sprintf "within %g%%" (r *. 100.0)
+  | Abs a -> Printf.sprintf "within %g" a
+  | Max_rel r -> Printf.sprintf "at most +%g%%" (r *. 100.0)
 
-(* Throughput knees swing far more with ambient box load than wall
-   clocks do — a saturation sweep whose p99 budget sits near the edge
-   can lose whole rate levels to a busy neighbour — so rps metrics get
-   their own, much wider band: the gate catches collapse (a routing or
-   scheduling bug halving the knee), not weather. *)
-let rps_tolerance_pct =
-  match string_opt "--rps-tolerance-pct" with
-  | None -> 50.0
-  | Some s -> (
-      match float_of_string_opt s with
-      | Some x when x >= 0.0 -> x
-      | _ ->
-          die 2 "--rps-tolerance-pct expects a non-negative number, got %S" s)
+let num_string v = Json.to_string (Json.Num v)
 
-let window =
-  match string_opt "--window" with
-  | None -> 5
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> n
-      | _ -> die 2 "--window expects a positive integer, got %S" s)
-
-let rebase = Array.exists (( = ) "--rebase") Sys.argv
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let write_file path contents =
-  let oc = open_out_bin path in
-  output_string oc contents;
-  close_out oc
-
-type run = {
-  utc : string;
-  fast : float;
-  jobs : float;
-  headline : (string * float) list;
-}
-
-let load path =
-  if not (Sys.file_exists path) then None
-  else
-    match Json.parse (read_file path) with
-    | Error msg -> die 2 "%s: malformed JSON: %s" path msg
-    | Ok j -> (
-        let num name = Option.bind (Json.member name j) Json.to_float in
-        let str name = Option.bind (Json.member name j) Json.to_str in
-        let headline =
-          match Json.member "headline" j with
-          | Some (Json.Obj fields) ->
-              List.filter_map
-                (fun (k, v) ->
-                  Option.map (fun x -> (k, x)) (Json.to_float v))
-                fields
-          | _ -> []
-        in
-        match (str "utc", num "fast", num "jobs") with
-        | Some utc, Some fast, Some jobs when headline <> [] ->
-            Some { utc; fast; jobs; headline }
-        | _ ->
-            die 2 "%s: missing utc/fast/jobs/headline (schema dpoaf-bench/1)"
-              path)
-
-(* the newest [window] dated runs whose config matches [latest],
-   newest first; latest.json is a copy of the newest dated file, so the
-   dated series alone is the whole population *)
-let recent_runs latest =
-  let dated =
-    Sys.readdir results_dir |> Array.to_list
-    |> List.filter (fun f ->
-           String.length f > 5
-           && f.[0] = '2'
-           && Filename.check_suffix f ".json")
-    |> List.sort (fun a b -> compare b a)
+(* the baseline file's own layout, one metric per line *)
+let render workloads =
+  let entry (name, (v, tol)) =
+    let t =
+      match tol with
+      | Rel r -> Printf.sprintf "\"rel\": %s" (num_string r)
+      | Abs a -> Printf.sprintf "\"abs\": %s" (num_string a)
+      | Max_rel r -> Printf.sprintf "\"max_rel\": %s" (num_string r)
+    in
+    Printf.sprintf "    %S: {\"value\": %s, %s}" name (num_string v) t
   in
-  let matching =
-    List.filter_map
-      (fun f ->
-        match load (Filename.concat results_dir f) with
-        | Some r when r.fast = latest.fast && r.jobs = latest.jobs -> Some r
-        | _ -> None)
-      dated
+  let workload (w, checks) =
+    match checks with
+    | [] -> Printf.sprintf "  %S: {}" w
+    | _ ->
+        Printf.sprintf "  %S: {\n%s\n  }" w
+          (String.concat ",\n" (List.map entry checks))
   in
-  let runs = List.filteri (fun i _ -> i < window) matching in
-  if runs = [] then [ latest ] else runs
-
-(* Direction by name: throughput headlines carry "rps" in their name
-   (max_rps_at_p99 from the serving_scale section) and are
-   higher-is-better; everything else is wall clock, lower-is-better. *)
-let higher_is_better name =
-  let sub = "rps" in
-  let n = String.length name and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub name i m = sub || go (i + 1)) in
-  go 0
-
-(* Per-metric noise-robust estimate across the window: noise only ever
-   adds wall-clock time and only ever subtracts throughput, so the min
-   (or max, for higher-is-better metrics) is the estimate of the true
-   value. *)
-let window_stat runs =
-  let keys =
-    List.sort_uniq compare
-      (List.concat_map (fun r -> List.map fst r.headline) runs)
-  in
-  List.map
-    (fun k ->
-      let vs = List.filter_map (fun r -> List.assoc_opt k r.headline) runs in
-      ( k,
-        if higher_is_better k then
-          List.fold_left Float.max Float.neg_infinity vs
-        else List.fold_left Float.min Float.infinity vs ))
-    keys
-
-let pin_baseline path latest current n =
-  let fields =
-    [
-      ("schema", Json.Str "dpoaf-bench/1");
-      ("utc", Json.Str latest.utc);
-      ("fast", Json.Num latest.fast);
-      ("jobs", Json.Num latest.jobs);
-      ( "note",
-        Json.Str
-          (Printf.sprintf
-             "per-metric minimum over the %d newest matching runs" n) );
-      ( "headline",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) current) );
-    ]
-  in
-  write_file path (Json.to_string (Json.Obj fields) ^ "\n")
+  Printf.sprintf "{\n%s\n}\n" (String.concat ",\n" (List.map workload workloads))
 
 let () =
-  let latest_path = Filename.concat results_dir "latest.json" in
-  let baseline_path = Filename.concat results_dir "baseline.json" in
-  let latest =
-    match load latest_path with
-    | Some r -> r
-    | None ->
-        die 2 "%s not found — run the bench first (make perf-gate does)"
-          latest_path
+  let baseline_path, results_dir =
+    match Sys.argv with
+    | [| _; b; r |] -> (b, r)
+    | _ -> die "usage: perf_gate BASELINE RESULTS_DIR"
   in
-  let runs = recent_runs latest in
-  let current = window_stat runs in
-  if rebase || not (Sys.file_exists baseline_path) then begin
-    pin_baseline baseline_path latest current (List.length runs);
-    Printf.printf
-      "perf-gate: %s baseline recorded from the %d newest run(s) (latest \
-       %s)\n"
-      (if rebase then "rebased" else "fresh")
-      (List.length runs) latest.utc;
-    exit 0
-  end;
-  let baseline = Option.get (load baseline_path) in
-  if baseline.fast <> latest.fast || baseline.jobs <> latest.jobs then
-    die 2
-      "baseline (fast=%g jobs=%g) and latest (fast=%g jobs=%g) used \
-       different bench configs — not comparable; re-pin with --rebase"
-      baseline.fast baseline.jobs latest.fast latest.jobs;
-  let regressions = ref [] in
-  List.iter
-    (fun (name, base) ->
-      match List.assoc_opt name current with
-      | None ->
-          regressions :=
-            Printf.sprintf
-              "%s: present in baseline but missing from the current runs"
-              name
-            :: !regressions
-      | Some cur ->
-          let hib = higher_is_better name in
-          let tol = if hib then rps_tolerance_pct else tolerance_pct in
-          let limit =
-            if hib then base *. (1.0 -. (tol /. 100.0))
-            else base *. (1.0 +. (tol /. 100.0))
-          in
-          let pct =
-            if base > 0.0 then (cur -. base) /. base *. 100.0 else 0.0
-          in
-          if (if hib then cur < limit else cur > limit) then
-            regressions :=
-              Printf.sprintf "%s: %.4f -> %.4f (%+.1f%%, limit %c%.0f%%)" name
-                base cur pct
-                (if hib then '-' else '+')
-                tol
-              :: !regressions
-          else
-            Printf.printf "perf-gate: ok %s: %.4f -> %.4f (%+.1f%%)\n" name
-              base cur pct)
-    baseline.headline;
-  match List.rev !regressions with
+  let baseline =
+    List.map
+      (fun (w, checks) ->
+        ( w,
+          List.map
+            (fun (m, e) -> (m, tolerance_of baseline_path (w ^ " " ^ m) e))
+            (fields baseline_path checks) ))
+      (fields baseline_path (read_json baseline_path))
+  in
+  let failures = ref [] in
+  (* a broken run (failed checks, missing metrics) pins nothing *)
+  let broken = ref false in
+  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
+  let break fmt =
+    broken := true;
+    fail fmt
+  in
+  let measured =
+    List.map
+      (fun (w, checks) ->
+        let path = Filename.concat results_dir (w ^ ".json") in
+        let result = read_json path in
+        (match Json.member "correct" result with
+        | Some (Json.Bool true) -> ()
+        | _ -> break "%s correct: the workload's answer checks did not pass" w);
+        (match Option.bind (Json.member "failed" result) Json.to_float with
+        | Some 0.0 -> ()
+        | Some n -> break "%s failed: %g failed operations, pinned 0" w n
+        | None -> break "%s failed: missing from %s" w path);
+        ( w,
+          List.map
+            (fun (m, ((v, tol) as pinned)) ->
+              let x =
+                Option.bind (Json.member "metrics" result) (fun ms ->
+                    Option.bind (Json.member m ms) (fun e ->
+                        Option.bind (Json.member "value" e) Json.to_float))
+              in
+              match x with
+              | None ->
+                  break "%s %s: missing from %s" w m path;
+                  (m, pinned)
+              | Some x ->
+                  if within x pinned then
+                    Printf.printf "perf-gate: ok %s %s: %s (pinned %s, %s)\n%!"
+                      w m (num_string x) (num_string v) (describe tol)
+                  else
+                    fail "%s %s: measured %s, pinned %s (%+.2f%%), must be %s"
+                      w m (num_string x) (num_string v)
+                      ((x -. v) /. v *. 100.0)
+                      (describe tol);
+                  (m, (x, tol)))
+            checks ))
+      baseline
+  in
+  match List.rev !failures with
   | [] ->
-      Printf.printf
-        "perf-gate: pass — %d headline metrics within tolerance (+%.0f%% \
-         wall clock, -%.0f%% rps) of baseline %s (over %d run(s), latest \
-         %s)\n"
-        (List.length baseline.headline)
-        tolerance_pct rps_tolerance_pct baseline.utc (List.length runs)
-        latest.utc
-  | rs ->
-      List.iter (fun r -> Printf.eprintf "perf-gate: REGRESSION %s\n" r) rs;
-      Printf.eprintf
-        "perf-gate: fail — %d metric(s) regressed beyond tolerance (re-pin \
-         deliberately with `dune exec bench/perf_gate.exe -- --rebase`)\n"
-        (List.length rs);
+      Printf.printf "perf-gate: pass (%d workloads match %s)\n"
+        (List.length baseline) baseline_path
+  | fs ->
+      List.iter (Printf.eprintf "perf-gate: MISMATCH %s\n") fs;
+      if !broken then prerr_endline "perf-gate: fail"
+      else
+        Printf.eprintf
+          "perf-gate: fail. If the change is intended, replace %s with:\n%s"
+          baseline_path (render measured);
       exit 1

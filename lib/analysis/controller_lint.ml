@@ -16,11 +16,12 @@ let successors (c : Fsa.t) transitions =
     (List.rev transitions);
   succs
 
+(* Each check below takes [seen], the states reachable over live
+   transitions, so that [lint] computes it once per controller. *)
 let reachable (c : Fsa.t) =
   Graph.reachable (successors c (live_transitions c)) ~roots:[ c.Fsa.init ]
 
-let unreachable_states c =
-  let seen = reachable c in
+let unreachable_states (c : Fsa.t) seen =
   List.filter (fun q -> not seen.(q)) (List.init c.Fsa.n_states Fun.id)
 
 let out_guards (c : Fsa.t) q =
@@ -29,8 +30,7 @@ let out_guards (c : Fsa.t) q =
       if tr.Fsa.src = q then Some tr.Fsa.guard else None)
     c.Fsa.transitions
 
-let stuck_states c =
-  let seen = reachable c in
+let stuck_states c seen =
   List.filter
     (fun q -> seen.(q) && not (Guards.satisfiable (Guards.disjunction (out_guards c q))))
     (List.init c.Fsa.n_states Fun.id)
@@ -38,8 +38,7 @@ let stuck_states c =
 (* Nondeterminism: two transitions out of the same reachable state whose
    guards can hold at once and whose outcomes (action, destination) differ.
    Same-outcome overlap is harmless duplication and not reported. *)
-let overlaps (c : Fsa.t) =
-  let seen = reachable c in
+let overlaps (c : Fsa.t) seen =
   let rec pairs = function
     | [] -> []
     | x :: rest -> List.map (fun y -> (x, y)) rest @ pairs rest
@@ -62,9 +61,7 @@ let overlaps (c : Fsa.t) =
    DNF complement over each state's own guard atoms is exact.  Stuck states
    (no observation enabled at all) are reported separately and skipped
    here. *)
-let incompleteness (c : Fsa.t) =
-  let seen = reachable c in
-  let stuck = stuck_states c in
+let incomplete_states (c : Fsa.t) seen ~stuck =
   List.filter_map
     (fun q ->
       if (not seen.(q)) || List.mem q stuck then None
@@ -72,12 +69,15 @@ let incompleteness (c : Fsa.t) =
         Option.map (fun w -> (q, w)) (Guards.complement_witness (out_guards c q)))
     (List.init c.Fsa.n_states Fun.id)
 
+let incompleteness c =
+  let seen = reachable c in
+  incomplete_states c seen ~stuck:(stuck_states c seen)
+
 (* Strongly connected components of the ε-action subgraph (transitions
    whose action symbol is empty), restricted to reachable states; a
    nontrivial SCC or an ε self-loop means the controller can cycle forever
    without ever emitting an action. *)
-let epsilon_cycles (c : Fsa.t) =
-  let seen = reachable c in
+let epsilon_cycles (c : Fsa.t) seen =
   let eps =
     successors c
       (List.filter
@@ -94,6 +94,8 @@ let epsilon_cycles (c : Fsa.t) =
 let lint (c : Fsa.t) =
   let name q = c.Fsa.state_names.(q) in
   let artifact = Diagnostic.Controller c.Fsa.name in
+  let seen = reachable c in
+  let stuck_qs = stuck_states c seen in
   let diag ~code ~severity ?witness msg =
     Diagnostic.make ~code ~severity ~artifact ?witness msg
   in
@@ -103,7 +105,7 @@ let lint (c : Fsa.t) =
         diag ~code:"CTL001" ~severity:Diagnostic.Warning ~witness:(name q)
           (Printf.sprintf "state %s is unreachable from the initial state %s"
              (name q) (name c.Fsa.init)))
-      (unreachable_states c)
+      (unreachable_states c seen)
   in
   let stuck =
     List.map
@@ -113,7 +115,7 @@ let lint (c : Fsa.t) =
              "state %s is reachable but no observation enables any of its \
               transitions (the controller freezes there)"
              (name q)))
-      (stuck_states c)
+      stuck_qs
   in
   let overlap =
     List.map
@@ -128,7 +130,7 @@ let lint (c : Fsa.t) =
              (Symbol.to_string t1.Fsa.action) (name t1.Fsa.dst)
              (Format.asprintf "%a" Fsa.pp_guard t2.Fsa.guard)
              (Symbol.to_string t2.Fsa.action) (name t2.Fsa.dst)))
-      (overlaps c)
+      (overlaps c seen)
   in
   let incomplete =
     List.map
@@ -139,7 +141,7 @@ let lint (c : Fsa.t) =
              "state %s has no enabled transition for some observation (the \
               product silently drops those model behaviours)"
              (name q)))
-      (incompleteness c)
+      (incomplete_states c seen ~stuck:stuck_qs)
   in
   let eps =
     List.map
@@ -149,7 +151,7 @@ let lint (c : Fsa.t) =
              "states {%s} form an ε-action cycle: the controller can loop \
               forever without emitting any action"
              (String.concat ", " (List.map name comp))))
-      (epsilon_cycles c)
+      (epsilon_cycles c seen)
   in
   let dead_guards =
     List.filter_map

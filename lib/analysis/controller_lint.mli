@@ -16,22 +16,6 @@
       without emitting an action
     - [CTL006] (info) transition with an unsatisfiable guard *)
 
-val unreachable_states : Dpoaf_automata.Fsa.t -> Dpoaf_automata.Fsa.state list
-(** States no satisfiable-guard path reaches from the initial state. *)
-
-val stuck_states : Dpoaf_automata.Fsa.t -> Dpoaf_automata.Fsa.state list
-(** Reachable states whose outgoing guards' disjunction is unsatisfiable
-    (including states with no outgoing transition at all). *)
-
-val overlaps :
-  Dpoaf_automata.Fsa.t ->
-  (Dpoaf_automata.Fsa.transition * Dpoaf_automata.Fsa.transition
-  * Dpoaf_logic.Symbol.t)
-  list
-(** Pairs of transitions from the same reachable state that some
-    observation (the witness) enables together, with distinct
-    (action, destination) outcomes. *)
-
 val incompleteness :
   Dpoaf_automata.Fsa.t ->
   (Dpoaf_automata.Fsa.state * Dpoaf_logic.Symbol.t) list
@@ -39,9 +23,5 @@ val incompleteness :
     no transition.  Exact for any atom universe containing the guards'
     atoms — unmentioned atoms are don't-cares. *)
 
-val epsilon_cycles :
-  Dpoaf_automata.Fsa.t -> Dpoaf_automata.Fsa.state list list
-(** Nontrivial SCCs (or self-loops) of the reachable ε-action subgraph. *)
-
 val lint : Dpoaf_automata.Fsa.t -> Diagnostic.t list
-(** Every check above, as sorted diagnostics. *)
+(** Every check of the code list above, as sorted diagnostics. *)

@@ -121,8 +121,8 @@ type sweep_report = {
   knee_offered_rps : float;  (** highest sustained offered rate; 0 if
       even the first level failed *)
   max_rps_at_p99 : float;
-      (** achieved (completed) rps at the knee level — the serving-scale
-          headline watched by [make perf-gate]; 0 if no level sustained *)
+      (** achieved (completed) rps at the knee level; 0 if no level
+          sustained *)
 }
 
 val run_sweep :

@@ -257,6 +257,24 @@ let test_tape_mode_bitwise_identical () =
   Alcotest.(check bool) "final adapter bit-identical" true
     (bits reuse.Trainer.final = bits fresh.Trainer.final)
 
+let test_unfused_fresh_equals_fused_reuse () =
+  (* Both kernel axes at once: the unfused composition on a fresh tape
+     per step must train exactly like the fused kernels on one reused
+     arena. *)
+  let pairs = training_pairs () in
+  let run impl mode =
+    Model.set_default_impl impl;
+    Fun.protect
+      ~finally:(fun () -> Model.set_default_impl Model.Fused)
+      (fun () ->
+        Trainer.train ~tape_mode:mode ~reference:(make_model 31) ~pairs
+          (quick_config 8) ~seed:7)
+  in
+  let before = run Model.Unfused `Fresh in
+  let after = run Model.Fused `Reuse in
+  Alcotest.(check bool) "epoch stats identical" true
+    (before.Trainer.stats = after.Trainer.stats)
+
 let test_epoch0_checkpoint_is_reference () =
   let reference = make_model 23 in
   let run = Trainer.train ~reference ~pairs:(training_pairs ()) (quick_config 5) ~seed:4 in
@@ -385,6 +403,8 @@ let () =
           Alcotest.test_case "epoch0 = reference" `Quick test_epoch0_checkpoint_is_reference;
           Alcotest.test_case "tape modes bitwise equal" `Quick
             test_tape_mode_bitwise_identical;
+          Alcotest.test_case "unfused fresh = fused reuse" `Quick
+            test_unfused_fresh_equals_fused_reuse;
           Alcotest.test_case "step records" `Quick test_step_records_stream;
         ] );
       ( "reinforce",

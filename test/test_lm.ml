@@ -538,6 +538,75 @@ let test_sample_from_state_equals_sample () =
     Alcotest.(check (list int)) "same tokens" direct cached
   done
 
+(* The sampler's incremental states must draw exactly the tokens of a
+   from-scratch sampler that rebuilds the context window and the Bow
+   hidden state at every token (O(T^2), element access through
+   Tensor.get2) and picks from the softmax over the allowed tokens. *)
+let test_sample_equals_from_scratch () =
+  let v = make_vocab () in
+  let g = make_grammar v in
+  (* context 4 < response length forces the window to roll *)
+  let model = make_model ~context:4 68 v in
+  let snap = Sampler.snapshot model in
+  let prompt = Vocab.encode v "steps for the task" in
+  let eff = Dpoaf_tensor.Lora.effective model.Model.out in
+  let d = model.Model.config.Model.dim in
+  let distribution ~context ~allowed =
+    let h = Array.make d 0.0 in
+    let k = float_of_int (max 1 (List.length context)) in
+    List.iter
+      (fun tok ->
+        for j = 0 to d - 1 do
+          h.(j) <- h.(j) +. (Tensor.get2 model.Model.embedding tok j /. k)
+        done)
+      context;
+    let h = Array.map tanh h in
+    let logits =
+      List.map
+        (fun tok ->
+          let acc = ref (Tensor.get model.Model.bias tok) in
+          for j = 0 to d - 1 do
+            acc := !acc +. (Tensor.get2 eff tok j *. h.(j))
+          done;
+          !acc)
+        allowed
+    in
+    let m = List.fold_left Float.max neg_infinity logits in
+    let exps = List.map (fun l -> exp (l -. m)) logits in
+    let z = List.fold_left ( +. ) 0.0 exps in
+    Array.of_list (List.map (fun e -> e /. z) exps)
+  in
+  let pick rng probs =
+    let x = Rng.float rng in
+    let n = Array.length probs in
+    let rec go i acc =
+      if i >= n - 1 then n - 1
+      else if x < acc +. probs.(i) then i
+      else go (i + 1) (acc +. probs.(i))
+    in
+    go 0 0.0
+  in
+  let from_scratch rng =
+    let rec go state prefix =
+      if Grammar.is_final g state then List.rev prefix
+      else
+        let allowed = Grammar.allowed g ~min_clauses:1 ~max_clauses:3 state in
+        let context = Model.context_of model ~prompt ~prefix:(List.rev prefix) in
+        let tok = List.nth allowed (pick rng (distribution ~context ~allowed)) in
+        match Grammar.advance g state tok with
+        | Some state' -> go state' (tok :: prefix)
+        | None -> Alcotest.fail "sampled a token the grammar rejects"
+    in
+    go (Grammar.start g) []
+  in
+  for seed = 0 to 59 do
+    Alcotest.(check (list int))
+      (Printf.sprintf "seed %d" seed)
+      (from_scratch (Rng.create seed))
+      (Sampler.sample snap (Rng.create seed) ~prompt ~grammar:g ~min_clauses:1
+         ~max_clauses:3 ())
+  done
+
 (* ---------------- checkpointing ---------------- *)
 
 let test_checkpoint_roundtrip () =
@@ -684,6 +753,8 @@ let () =
           Alcotest.test_case "fused = unfused (gru)" `Quick test_fused_unfused_gru;
           Alcotest.test_case "state sampling = prompt sampling" `Quick
             test_sample_from_state_equals_sample;
+          Alcotest.test_case "sampling = from-scratch sampling" `Quick
+            test_sample_equals_from_scratch;
         ] );
       ( "gru",
         [

@@ -3,16 +3,14 @@
 # journal, drive a loadgen burst, and require that (a) `stats` and
 # `health` answer *while the daemon is under load*, in both JSON and
 # Prometheus form, (b) the journal is valid JSONL that `report --journal`
-# accepts and that records the burst, (c) the loadgen JSON report is
-# parseable, and (d) the perf gate passes against a fresh baseline and
-# fails when that baseline is artificially degraded.
+# accepts and that records the burst, and (c) the loadgen JSON report is
+# parseable.
 #
 # Uses the built binaries directly (not `dune exec`) so the daemon and
 # the clients never contend on the dune build lock.
 set -eu
 
 CLI=_build/default/bin/dpoaf_cli.exe
-PERF_GATE=_build/default/bench/perf_gate.exe
 SOCK=$(mktemp -u /tmp/dpoaf-obs-check.XXXXXX.sock)
 LOG=$(mktemp /tmp/dpoaf-obs-check.XXXXXX.log)
 OUT=$(mktemp /tmp/dpoaf-obs-check.XXXXXX.out)
@@ -24,7 +22,6 @@ SCRATCH="$LOG $OUT $WORK"
 . "$(dirname "$0")/daemon_lib.sh"
 
 need_built "$CLI"
-need_built "$PERF_GATE"
 
 start_daemon --jobs 2 --seed 17 --journal "$JOURNAL"
 
@@ -119,46 +116,4 @@ for ev in daemon.start daemon.stop serve.shard.up serve.request serve.drain; do
     }
 done
 
-# ---- perf gate on a fresh results series ----------------------------
-# run from the work dir: the kernels section writes BENCH_kernels.json
-# into the working directory, which must not be the repository's
-RESULTS="$WORK/results"
-ROOT=$(pwd)
-(cd "$WORK" && "$ROOT/_build/default/bench/main.exe" --fast \
-    --only kernels,serving --jobs 2 --results-dir "$RESULTS" \
-    >"$WORK/bench.txt" 2>&1) || {
-    echo "obs-check: bench run for the perf gate failed" >&2
-    tail -20 "$WORK/bench.txt" >&2
-    exit 1
-}
-[ -f "$RESULTS/latest.json" ] || {
-    echo "obs-check: bench did not write $RESULTS/latest.json" >&2
-    exit 1
-}
-
-# first run pins the baseline and passes
-"$PERF_GATE" --results-dir "$RESULTS" | grep -q 'baseline recorded' || {
-    echo "obs-check: perf gate did not record a fresh baseline" >&2
-    exit 1
-}
-# second run compares latest against it and passes
-"$PERF_GATE" --results-dir "$RESULTS" | grep -q 'perf-gate: pass' || {
-    echo "obs-check: perf gate failed on an unchanged run" >&2
-    exit 1
-}
-# degrade the baseline (pretend the past was 10x faster): must fail
-sed 's/"fig8_loop_s":\([0-9.e+-]*\)/"fig8_loop_s":0.000001/' \
-    "$RESULTS/baseline.json" >"$RESULTS/baseline.json.tmp"
-mv "$RESULTS/baseline.json.tmp" "$RESULTS/baseline.json"
-if "$PERF_GATE" --results-dir "$RESULTS" >"$OUT" 2>&1; then
-    echo "obs-check: perf gate passed despite a degraded headline metric" >&2
-    cat "$OUT" >&2
-    exit 1
-fi
-grep -q 'REGRESSION fig8_loop_s' "$OUT" || {
-    echo "obs-check: perf gate failure did not name the regressed metric" >&2
-    cat "$OUT" >&2
-    exit 1
-}
-
-echo "obs-check: OK (stats/health answered mid-load; journal valid; perf gate gates)"
+echo "obs-check: OK (stats/health answered mid-load; journal valid)"
