@@ -12,4 +12,7 @@ type lasso = {
 val find_accepting_lasso : Kripke.t -> Buchi.nba -> lasso option
 (** [Some lasso] iff the product has a reachable accepting cycle.  The lasso
     projects the product run onto Kripke states; its label word is accepted
-    by the automaton. *)
+    by the automaton.  Labels are matched as bitmasks ({!Kripke.t.masks})
+    and the product is searched in per-domain arrays reused across calls.
+    Each call adds the product's reachable states to the [mc.product_states]
+    counter and its strongly connected components to [mc.sccs]. *)

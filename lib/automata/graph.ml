@@ -50,101 +50,192 @@ let reachable succs ~roots =
   List.iter visit roots;
   seen
 
+type t = { n : int; off : int array; adj : int array }
+
+let of_lists succs =
+  let n = Array.length succs in
+  let off = Array.make (n + 1) 0 in
+  Array.iteri (fun v l -> off.(v + 1) <- off.(v) + List.length l) succs;
+  let adj = Array.make off.(n) 0 in
+  Array.iteri (fun v l -> List.iteri (fun i w -> adj.(off.(v) + i) <- w) l) succs;
+  { n; off; adj }
+
+let self_loop g v =
+  let rec go e = e < g.off.(v + 1) && (g.adj.(e) = v || go (e + 1)) in
+  go g.off.(v)
+
+(* Per-domain work arrays of the SCC and path searches, grown to the
+   largest graph seen and reused, so a search allocates no array of
+   graph size (which would land in the major heap past 256 words).
+   Between searches [index] and [comp] hold -1 and [parent] -2 on every
+   entry; a search restores that on [0 .. n-1] when it ends, normally or
+   not.  No caller code runs while the arrays are borrowed, so a search
+   never meets its own domain's arrays in use; [busy] enforces it. *)
+type scratch = {
+  mutable busy : bool;
+  mutable index : int array;  (** DFS discovery number, -1 unvisited *)
+  mutable low : int array;
+  mutable comp : int array;  (** component, -1 unassigned *)
+  mutable order : int array;  (** [order.(i)] is the vertex discovered i-th *)
+  mutable stack : int array;
+  mutable size : int array;  (** members per component *)
+  mutable parent : int array;  (** BFS tree: -2 unseen, -1 source *)
+  mutable queue : int array;
+}
+
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        busy = false;
+        index = [||];
+        low = [||];
+        comp = [||];
+        order = [||];
+        stack = [||];
+        size = [||];
+        parent = [||];
+        queue = [||];
+      })
+
+let grown a n clean =
+  if Array.length a >= n then a
+  else begin
+    let b = Array.make (max n (2 * Array.length a)) clean in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+let with_scratch n f =
+  let s = Domain.DLS.get scratch_key in
+  if s.busy then invalid_arg "Graph: scratch arrays already borrowed";
+  if Array.length s.index < n then begin
+    s.index <- grown s.index n (-1);
+    s.low <- grown s.low n 0;
+    s.comp <- grown s.comp n (-1);
+    s.order <- grown s.order n 0;
+    s.stack <- grown s.stack n 0;
+    s.size <- grown s.size n 0;
+    s.parent <- grown s.parent n (-2);
+    s.queue <- grown s.queue n 0
+  end;
+  s.busy <- true;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.fill s.index 0 n (-1);
+      Array.fill s.comp 0 n (-1);
+      Array.fill s.parent 0 n (-2);
+      s.busy <- false)
+    (fun () -> f s)
+
+(* One recursive Tarjan from each unvisited root in order, over the
+   borrowed arrays.  A visited vertex without a component is on the
+   stack.  Returns (vertices visited, components found). *)
+let tarjan g s roots =
+  let count = ref 0 and sp = ref 0 and ncomp = ref 0 in
+  let rec strong v =
+    let i = !count in
+    s.index.(v) <- i;
+    s.low.(v) <- i;
+    s.order.(i) <- v;
+    count := i + 1;
+    s.stack.(!sp) <- v;
+    incr sp;
+    for e = g.off.(v) to g.off.(v + 1) - 1 do
+      let w = g.adj.(e) in
+      if s.index.(w) < 0 then begin
+        strong w;
+        if s.low.(w) < s.low.(v) then s.low.(v) <- s.low.(w)
+      end
+      else if s.comp.(w) < 0 && s.index.(w) < s.low.(v) then
+        s.low.(v) <- s.index.(w)
+    done;
+    if s.low.(v) = i then begin
+      let c = !ncomp and top = !sp in
+      let rec pop () =
+        decr sp;
+        let w = s.stack.(!sp) in
+        s.comp.(w) <- c;
+        if w <> v then pop ()
+      in
+      pop ();
+      s.size.(c) <- top - !sp;
+      ncomp := c + 1
+    end
+  in
+  List.iter (fun v -> if s.index.(v) < 0 then strong v) roots;
+  (!count, !ncomp)
+
 type sccs = { comp : int array; members : int list array }
 
 let sccs succs ~roots =
-  let n = Array.length succs in
-  let index = Array.make n (-1) in
-  let lowlink = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let comp = Array.make n (-1) in
-  let stack = ref [] in
-  let next_index = ref 0 in
-  let found = ref [] in
-  let ncomp = ref 0 in
-  let rec strong v =
-    index.(v) <- !next_index;
-    lowlink.(v) <- !next_index;
-    incr next_index;
-    stack := v :: !stack;
-    on_stack.(v) <- true;
-    List.iter
-      (fun w ->
-        if index.(w) < 0 then begin
-          strong w;
-          lowlink.(v) <- min lowlink.(v) lowlink.(w)
-        end
-        else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w))
-      succs.(v);
-    if lowlink.(v) = index.(v) then begin
-      let rec pop acc =
-        match !stack with
-        | [] -> acc
-        | w :: rest ->
-            stack := rest;
-            on_stack.(w) <- false;
-            comp.(w) <- !ncomp;
-            if w = v then w :: acc else pop (w :: acc)
-      in
-      found := pop [] :: !found;
-      incr ncomp
-    end
-  in
-  List.iter (fun v -> if index.(v) < 0 then strong v) roots;
-  { comp; members = Array.of_list (List.rev !found) }
+  let g = of_lists succs in
+  with_scratch g.n (fun (s : scratch) ->
+      let visited, ncomp = tarjan g s roots in
+      let members = Array.make ncomp [] in
+      (* discovery order puts each component's DFS root first *)
+      for i = visited - 1 downto 0 do
+        let v = s.order.(i) in
+        members.(s.comp.(v)) <- v :: members.(s.comp.(v))
+      done;
+      { comp = Array.sub s.comp 0 g.n; members })
 
 (* Shortest path from any allowed source to [target] through allowed
-   states, both endpoints included. *)
-let bfs_path succs ~sources ~target ~allowed =
-  let parent = Array.make (Array.length succs) (-2) in
-  let q = Queue.create () in
-  List.iter
-    (fun s ->
-      if allowed s && parent.(s) = -2 then begin
-        parent.(s) <- -1;
-        Queue.add s q
-      end)
-    sources;
-  let found = ref false in
-  while (not !found) && not (Queue.is_empty q) do
-    let v = Queue.pop q in
+   states, both endpoints included; allowed means in component [c], or
+   in any component when [c] is -1.  Leaves [parent] clean. *)
+let bfs_path g (s : scratch) ~sources ~target ~c =
+  let allowed v = if c < 0 then s.comp.(v) >= 0 else s.comp.(v) = c in
+  let tail = ref 0 in
+  let visit v p =
+    if allowed v && s.parent.(v) = -2 then begin
+      s.parent.(v) <- p;
+      s.queue.(!tail) <- v;
+      incr tail
+    end
+  in
+  List.iter (fun v -> visit v (-1)) sources;
+  let head = ref 0 and found = ref false in
+  while (not !found) && !head < !tail do
+    let v = s.queue.(!head) in
+    incr head;
     if v = target then found := true
     else
-      List.iter
-        (fun w ->
-          if allowed w && parent.(w) = -2 then begin
-            parent.(w) <- v;
-            Queue.add w q
-          end)
-        succs.(v)
+      for e = g.off.(v) to g.off.(v + 1) - 1 do
+        visit g.adj.(e) v
+      done
   done;
   assert !found;
   let rec unwind v acc =
-    if parent.(v) = -1 then v :: acc else unwind parent.(v) (v :: acc)
+    if s.parent.(v) = -1 then v :: acc else unwind s.parent.(v) (v :: acc)
   in
-  unwind target []
+  let path = unwind target [] in
+  for i = 0 to !tail - 1 do
+    s.parent.(s.queue.(i)) <- -2
+  done;
+  path
 
 let rec drop_last = function [] | [ _ ] -> [] | x :: rest -> x :: drop_last rest
 
-let fair_lasso succs ~roots ~accepting =
-  let { comp; members } = sccs succs ~roots in
-  let n = Array.length succs in
-  let fair v =
-    comp.(v) >= 0
-    && accepting v
-    && match members.(comp.(v)) with [ w ] -> List.mem w succs.(w) | _ -> true
-  in
-  let rec seed v = if v = n then None else if fair v then Some v else seed (v + 1) in
-  match seed 0 with
-  | None -> None
-  | Some s ->
-      let prefix =
-        bfs_path succs ~sources:roots ~target:s ~allowed:(fun v -> comp.(v) >= 0)
+let fair_lasso g ~roots ~accepting =
+  with_scratch g.n (fun (s : scratch) ->
+      let _, ncomp = tarjan g s roots in
+      let fair v =
+        s.comp.(v) >= 0 && accepting.(v)
+        && (s.size.(s.comp.(v)) > 1 || self_loop g v)
       in
-      let in_comp v = comp.(v) = comp.(s) in
-      let cycle =
-        bfs_path succs ~sources:(List.filter in_comp succs.(s)) ~target:s
-          ~allowed:in_comp
-      in
-      (* prefix = r..s and cycle = s1..s with s1 a successor of s *)
-      Some (drop_last prefix, s :: drop_last cycle)
+      let rec seed v = if v = g.n then None else if fair v then Some v else seed (v + 1) in
+      match seed 0 with
+      | None -> (None, ncomp)
+      | Some v ->
+          let prefix = bfs_path g s ~sources:roots ~target:v ~c:(-1) in
+          let c = s.comp.(v) in
+          let rec back e acc =
+            if e < g.off.(v) then acc
+            else
+              let w = g.adj.(e) in
+              back (e - 1) (if s.comp.(w) = c then w :: acc else acc)
+          in
+          let cycle =
+            bfs_path g s ~sources:(back (g.off.(v + 1) - 1) []) ~target:v ~c
+          in
+          (* prefix = r..v and cycle = v1..v with v1 a successor of v *)
+          (Some (drop_last prefix, v :: drop_last cycle), ncomp))

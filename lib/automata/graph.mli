@@ -3,9 +3,14 @@
     exploration, reachability, Tarjan SCCs and the fair-lasso search.
 
     A graph is a dense successor array: states are [0 .. n-1] and
-    [succs.(v)] lists [v]'s successors.  Every traversal follows those
-    lists in order, so state numbering, component numbering and lassos
-    are deterministic functions of the input. *)
+    [succs.(v)] lists [v]'s successors, or the same lists in compressed
+    rows ({!t}).  Every traversal follows those lists in order, so state
+    numbering, component numbering and lassos are deterministic
+    functions of the input.
+
+    The SCC and lasso searches work in per-domain arrays that are grown
+    to the largest graph seen and reused, so a search allocates nothing
+    of graph size; they call no caller code while they hold them. *)
 
 type 'a explored = {
   states : 'a array;  (** [states.(i)] is the state numbered [i]. *)
@@ -43,14 +48,27 @@ val sccs : int list array -> roots:int list -> sccs
 (** Strongly connected components of the part reachable from [roots],
     by one recursive Tarjan started from each unvisited root in order. *)
 
+type t = {
+  n : int;  (** states [0 .. n-1] *)
+  off : int array;
+  adj : int array;
+      (** The successors of [v] are [adj.(off.(v)) .. adj.(off.(v+1) - 1)],
+          in order.  Both arrays may be longer than [n] needs. *)
+}
+(** A graph in compressed sparse rows. *)
+
+val of_lists : int list array -> t
+
 val fair_lasso :
-  int list array ->
+  t ->
   roots:int list ->
-  accepting:(int -> bool) ->
-  (int list * int list) option
-(** [Some (prefix, cycle)] iff some reachable nontrivial component (two
-    or more states, or one with a self-loop) holds an accepting state.
-    The seed is the lowest-numbered such accepting state [s]; [prefix]
-    is a shortest path from a root to [s] without [s] itself, and
-    [cycle] starts at [s] and is a shortest way back to [s] inside its
-    component, without the closing [s].  [cycle] is never empty. *)
+  accepting:bool array ->
+  (int list * int list) option * int
+(** [(Some (prefix, cycle), c)] iff some reachable nontrivial component
+    (two or more states, or one with a self-loop) holds an accepting
+    state; [accepting.(v)] marks state [v] (the array may be longer than
+    [n]).  The seed is the lowest-numbered such accepting state [s];
+    [prefix] is a shortest path from a root to [s] without [s] itself,
+    and [cycle] starts at [s] and is a shortest way back to [s] inside
+    its component, without the closing [s].  [cycle] is never empty.
+    [c] is the number of components reachable from [roots]. *)

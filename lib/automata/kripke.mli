@@ -8,21 +8,36 @@ type t = private {
   labels : Dpoaf_logic.Symbol.t array;
   succs : int list array;
   initial : int list;
-  descr : string array;  (** Human-readable state descriptions. *)
+  descr : int -> string;
+      (** Human-readable description of a state, made on demand. *)
   tags : int array;
       (** Provenance tag per state (e.g. the controller step that produced
           it); [-1] when untagged.  Used for counterexample blame. *)
+  atoms : string array;
+      (** The structure's alphabet: every atom of some label, sorted. *)
+  words : int;  (** Mask words per state: [⌈|atoms| / Sys.int_size⌉]. *)
+  masks : int array;
+      (** Labels as bitmasks over [atoms]: bit [j mod Sys.int_size] of
+          word [i * words + j / Sys.int_size] is set iff [atoms.(j)] is
+          in [labels.(i)].  Any number of atoms fits. *)
 }
 
 val make :
   labels:Dpoaf_logic.Symbol.t array ->
   succs:int list array ->
   initial:int list ->
-  ?descr:string array ->
+  ?descr:(int -> string) ->
   ?tags:int array ->
   unit ->
   t
-(** @raise Invalid_argument on shape mismatches or out-of-range indices. *)
+(** [descr] defaults to ["s<i>"].
+    @raise Invalid_argument on shape mismatches or out-of-range indices. *)
+
+val mask_into : t -> int array -> int -> Dpoaf_logic.Symbol.t -> bool
+(** [mask_into t masks base sym] sets the bits of [sym]'s atoms in the
+    mask that starts at word [base] of [masks] (the layout of [t.masks]);
+    [false] when some atom of [sym] is outside [t.atoms] (its bit is then
+    left out). *)
 
 val n_states : t -> int
 

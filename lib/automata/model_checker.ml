@@ -38,7 +38,7 @@ let check_kripke kripke formula =
   | None -> Holds
   | Some { Emptiness.prefix; cycle } ->
       let labels = List.map (fun i -> kripke.Kripke.labels.(i)) in
-      let descrs = List.map (fun i -> kripke.Kripke.descr.(i)) in
+      let descrs = List.map kripke.Kripke.descr in
       let tags = List.map (fun i -> kripke.Kripke.tags.(i)) in
       Fails
         {

@@ -96,24 +96,28 @@ let to_kripke t =
   in
   let labels = Array.make n Symbol.empty in
   let succs = Array.make n [] in
-  let descr = Array.make n "" in
   let tags = Array.make n (-1) in
   Array.iteri
     (fun i e ->
       labels.(i) <- e.label;
       succs.(i) <- node_successors e.dst;
-      tags.(i) <- e.src.ctrl_state;
-      descr.(i) <-
-        Format.asprintf "%a--%a->%a" (pp_pstate t) e.src Symbol.pp e.action
-          (pp_pstate t) e.dst)
+      tags.(i) <- e.src.ctrl_state)
     edge_arr;
   List.iter
     (fun s ->
       let k = Hashtbl.find sink_index s in
       labels.(k) <- Ts.label t.model s.model_state;
       succs.(k) <- [ k ];
-      tags.(k) <- s.ctrl_state;
-      descr.(k) <- Format.asprintf "%a (deadlock)" (pp_pstate t) s)
+      tags.(k) <- s.ctrl_state)
     t.deadlocks;
   let initial = List.concat_map node_successors t.initial in
+  (* descriptions are formatted only when asked for (lasso states) *)
+  let sinks = Array.of_list t.deadlocks in
+  let descr k =
+    if k < n_edges then
+      let e = edge_arr.(k) in
+      Format.asprintf "%a--%a->%a" (pp_pstate t) e.src Symbol.pp e.action
+        (pp_pstate t) e.dst
+    else Format.asprintf "%a (deadlock)" (pp_pstate t) sinks.(k - n_edges)
+  in
   Kripke.make ~labels ~succs ~initial:(List.sort_uniq compare initial) ~descr ~tags ()

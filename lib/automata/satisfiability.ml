@@ -3,11 +3,11 @@ let witness phi =
      state is enterable by the symbol of exactly its positive atoms. *)
   let nba = Buchi.degeneralize (Tableau.gnba_of_ltl phi) in
   match
-    Graph.fair_lasso nba.Buchi.succs ~roots:nba.Buchi.initial
-      ~accepting:(fun v -> nba.Buchi.accepting.(v))
+    Graph.fair_lasso (Graph.of_lists nba.Buchi.succs) ~roots:nba.Buchi.initial
+      ~accepting:nba.Buchi.accepting
   with
-  | None -> None
-  | Some (prefix, cycle) ->
+  | None, _ -> None
+  | Some (prefix, cycle), _ ->
       let label v = nba.Buchi.pos.(v) in
       Some
         ( Array.of_list (List.map label prefix),

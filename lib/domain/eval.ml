@@ -2,7 +2,8 @@
    memoized lexicon (Lazy.force is unsafe under concurrent forcing in
    OCaml 5), GLM2FSA compilation, one product per profiled controller —
    the rule book is model-checked and vacuity is read on the same Kripke
-   structure — and a bounded profile cache keyed by (model name, steps). *)
+   structure — and a bounded profile cache keyed by (model name, steps)
+   that shares its values and step texts, one copy of each per pack. *)
 
 module Glm2fsa = Dpoaf_lang.Glm2fsa
 module Model_checker = Dpoaf_automata.Model_checker
@@ -59,12 +60,29 @@ let make ~name ~make_lexicon ~specs ~universal =
   let profile_cache : (string * string list, Domain.profile) Cache.t =
     Cache.create ~capacity:65536 ~name:(Printf.sprintf "eval.profile.%s" name) ()
   in
+  (* A memo entry keeps only its key, and the key shares its texts: a
+     rule book has few distinct verdicts (tens per pack in a long
+     serving run) and a pack few distinct step texts, against
+     unboundedly many step lists, so each verdict record and each step
+     text is stored once per pack. *)
+  let verdicts : (Domain.profile, Domain.profile) Cache.t =
+    Cache.create ~capacity:65536 ~name:(Printf.sprintf "eval.verdicts.%s" name) ()
+  in
+  let texts : (string, string) Cache.t =
+    Cache.create ~capacity:65536 ~name:(Printf.sprintf "eval.texts.%s" name) ()
+  in
+  let shared cache x = Cache.find_or_add cache x (fun () -> x) in
   let profile_of_steps ?model steps =
     let model = match model with Some m -> m | None -> universal () in
-    Cache.find_or_add profile_cache
-      (model.Dpoaf_automata.Ts.name, steps)
-      (fun () ->
+    let key = (model.Dpoaf_automata.Ts.name, steps) in
+    match Cache.find_opt profile_cache key with
+    | Some p -> p
+    | None ->
         let controller, _stats = controller_of_steps ~name:"response" steps in
-        profile_of_controller ~model controller)
+        let p = shared verdicts (profile_of_controller ~model controller) in
+        Cache.add profile_cache
+          (model.Dpoaf_automata.Ts.name, List.map (shared texts) steps)
+          p;
+        p
   in
   { lexicon; controller_of_steps; profile_of_steps; profile_of_controller }

@@ -3,7 +3,10 @@
     product with the world model once, model-check the rule book on it
     and read vacuity ({!Dpoaf_analysis.Vacuity.vacuous_in}) from the same
     Kripke structure.  One mutexed lexicon and one bounded profile cache
-    [eval.profile.<domain>] keyed by (model name, steps) per pack. *)
+    [eval.profile.<domain>] keyed by (model name, steps) per pack.  Its
+    entries share their profiles ([eval.verdicts.<domain>], one record
+    per distinct profile) and step texts ([eval.texts.<domain>], one
+    string per distinct step), so a memo entry keeps only its key. *)
 
 type t = {
   lexicon : unit -> Dpoaf_lang.Lexicon.t;

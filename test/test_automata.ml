@@ -608,7 +608,7 @@ let prop_graph_fair_lasso =
           (fun v -> reach.(v) && accepting.(v) && on_cycle succs r v)
           (List.init (Array.length succs) Fun.id)
       in
-      match Graph.fair_lasso succs ~roots ~accepting:(Array.get accepting) with
+      match fst (Graph.fair_lasso (Graph.of_lists succs) ~roots ~accepting) with
       | None -> not fair
       | Some (prefix, cycle) ->
           let path = prefix @ cycle in
@@ -653,6 +653,264 @@ let prop_graph_explore =
                (Array.mapi
                   (fun i out -> out = List.map number succs.(g.Graph.states.(i)))
                   g.Graph.succs))
+
+(* --- product emptiness against the reference search --- *)
+
+(* The product search as it stood before the mask labels and the
+   per-domain work arrays: interning through [Graph.explore], labels
+   tested with [Buchi.consistent] on string sets, and a list-based
+   Tarjan and BFS.  Kept only as the differential oracle. *)
+module Reference = struct
+  let sccs succs ~roots =
+    let n = Array.length succs in
+    let index = Array.make n (-1) and lowlink = Array.make n 0 in
+    let on_stack = Array.make n false and comp = Array.make n (-1) in
+    let stack = ref [] and next_index = ref 0 and found = ref [] and ncomp = ref 0 in
+    let rec strong v =
+      index.(v) <- !next_index;
+      lowlink.(v) <- !next_index;
+      incr next_index;
+      stack := v :: !stack;
+      on_stack.(v) <- true;
+      List.iter
+        (fun w ->
+          if index.(w) < 0 then begin
+            strong w;
+            lowlink.(v) <- min lowlink.(v) lowlink.(w)
+          end
+          else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w))
+        succs.(v);
+      if lowlink.(v) = index.(v) then begin
+        let rec pop acc =
+          match !stack with
+          | [] -> acc
+          | w :: rest ->
+              stack := rest;
+              on_stack.(w) <- false;
+              comp.(w) <- !ncomp;
+              if w = v then w :: acc else pop (w :: acc)
+        in
+        found := pop [] :: !found;
+        incr ncomp
+      end
+    in
+    List.iter (fun v -> if index.(v) < 0 then strong v) roots;
+    (comp, Array.of_list (List.rev !found))
+
+  let bfs_path succs ~sources ~target ~allowed =
+    let parent = Array.make (Array.length succs) (-2) in
+    let q = Queue.create () in
+    List.iter
+      (fun s ->
+        if allowed s && parent.(s) = -2 then begin
+          parent.(s) <- -1;
+          Queue.add s q
+        end)
+      sources;
+    let found = ref false in
+    while (not !found) && not (Queue.is_empty q) do
+      let v = Queue.pop q in
+      if v = target then found := true
+      else
+        List.iter
+          (fun w ->
+            if allowed w && parent.(w) = -2 then begin
+              parent.(w) <- v;
+              Queue.add w q
+            end)
+          succs.(v)
+    done;
+    assert !found;
+    let rec unwind v acc =
+      if parent.(v) = -1 then v :: acc else unwind parent.(v) (v :: acc)
+    in
+    unwind target []
+
+  let rec drop_last = function [] | [ _ ] -> [] | x :: rest -> x :: drop_last rest
+
+  let fair_lasso succs ~roots ~accepting =
+    let comp, members = sccs succs ~roots in
+    let n = Array.length succs in
+    let fair v =
+      comp.(v) >= 0 && accepting v
+      && match members.(comp.(v)) with [ w ] -> List.mem w succs.(w) | _ -> true
+    in
+    let rec seed v = if v = n then None else if fair v then Some v else seed (v + 1) in
+    match seed 0 with
+    | None -> None
+    | Some s ->
+        let prefix =
+          bfs_path succs ~sources:roots ~target:s ~allowed:(fun v -> comp.(v) >= 0)
+        in
+        let in_comp v = comp.(v) = comp.(s) in
+        let cycle =
+          bfs_path succs ~sources:(List.filter in_comp succs.(s)) ~target:s
+            ~allowed:in_comp
+        in
+        Some (drop_last prefix, s :: drop_last cycle)
+
+  (* also returns (product states, components) for the work counters *)
+  let find_accepting_lasso (k : Kripke.t) (a : Buchi.nba) =
+    let nb = a.Buchi.n in
+    let pairs kss bss =
+      List.concat_map
+        (fun ks ->
+          List.filter_map
+            (fun bs ->
+              if
+                Buchi.consistent ~pos:a.Buchi.pos.(bs) ~neg:a.Buchi.neg.(bs)
+                  k.Kripke.labels.(ks)
+              then Some ((ks * nb) + bs)
+              else None)
+            bss)
+        kss
+    in
+    let g =
+      Graph.explore
+        ~initial:(pairs k.Kripke.initial a.Buchi.initial)
+        ~succs:(fun p -> pairs k.Kripke.succs.(p / nb) a.Buchi.succs.(p mod nb))
+        ()
+    in
+    let lasso =
+      fair_lasso g.Graph.succs ~roots:g.Graph.roots ~accepting:(fun v ->
+          a.Buchi.accepting.(g.Graph.states.(v) mod nb))
+      |> Option.map (fun (prefix, cycle) ->
+             let kripke_of = List.map (fun v -> g.Graph.states.(v) / nb) in
+             { Emptiness.prefix = kripke_of prefix; cycle = kripke_of cycle })
+    in
+    let _, members = sccs g.Graph.succs ~roots:g.Graph.roots in
+    (lasso, Array.length g.Graph.states, Array.length members)
+end
+
+let nba_of_negation phi = Buchi.degeneralize (Tableau.gnba_of_ltl (Ltl.neg phi))
+
+(* Kripke structures with deadlocks (empty successor lists), one or two
+   initial states and labels over [p; q; zp; zq].  A wide structure
+   also gives state [i] the filler atoms [f(10i) .. f(10i+11)], so with
+   seven or more states its alphabet passes 63 atoms and the four
+   formula atoms (which sort after the fillers) sit past the first mask
+   word. *)
+let gen_wide_kripke ~wide ~max_states =
+  let open QCheck.Gen in
+  let focus = [ "p"; "q"; "zp"; "zq" ] in
+  (if wide then int_range 7 max_states else int_range 1 max_states) >>= fun n ->
+  list_repeat n (list_size (0 -- 4) (oneofl focus)) >>= fun labels ->
+  list_repeat n (list_size (0 -- 2) (int_range 0 (n - 1))) >>= fun succs ->
+  list_size (1 -- 2) (int_range 0 (n - 1)) >>= fun initial ->
+  let filler i = List.init 12 (fun j -> Printf.sprintf "f%03d" ((10 * i) + j)) in
+  let labels =
+    List.mapi (fun i l -> sym (if wide then l @ filler i else l)) labels
+  in
+  return
+    (Kripke.make ~labels:(Array.of_list labels) ~succs:(Array.of_list succs)
+       ~initial:(List.sort_uniq compare initial) ())
+
+(* formulas over the focus atoms and one atom in no label *)
+let gen_focus_formula =
+  let open QCheck.Gen in
+  let atom_names = [ "p"; "q"; "zp"; "zq"; "absent" ] in
+  sized_size (int_bound 6) @@ fix (fun self n ->
+      if n <= 0 then map Ltl.atom (oneofl atom_names)
+      else
+        let sub = self (n / 2) in
+        oneof
+          [
+            map Ltl.atom (oneofl atom_names);
+            map Ltl.neg sub;
+            map2 (fun a b -> Ltl.And (a, b)) sub sub;
+            map2 (fun a b -> Ltl.Or (a, b)) sub sub;
+            map Ltl.next sub;
+            map Ltl.eventually sub;
+            map Ltl.always sub;
+            map2 Ltl.until sub sub;
+          ])
+
+let print_lasso = function
+  | None -> "none"
+  | Some { Emptiness.prefix; cycle } ->
+      let ints l = String.concat "," (List.map string_of_int l) in
+      Printf.sprintf "prefix [%s] cycle [%s]" (ints prefix) (ints cycle)
+
+let arb_emptiness_case =
+  QCheck.make
+    ~print:(fun (phi, k) ->
+      Printf.sprintf "%s on %d states (%d atoms): %s" (Ltl.to_string phi)
+        (Kripke.n_states k) (Array.length k.Kripke.atoms)
+        (Format.asprintf "%a" Kripke.pp k))
+    QCheck.Gen.(
+      pair gen_focus_formula
+        (bool >>= fun wide -> gen_wide_kripke ~wide ~max_states:9))
+
+let prop_emptiness_differential =
+  QCheck.Test.make ~count:1000
+    ~name:"emptiness = reference search; Fails lassos replay" arb_emptiness_case
+    (fun (phi, k) ->
+      let a = nba_of_negation phi in
+      let expected, _, _ = Reference.find_accepting_lasso k a in
+      let got = Emptiness.find_accepting_lasso k a in
+      if got <> expected then
+        QCheck.Test.fail_reportf "got %s, reference %s" (print_lasso got)
+          (print_lasso expected);
+      match Model_checker.check_kripke k phi with
+      | Model_checker.Holds -> true
+      | Model_checker.Fails cex ->
+          not
+            (Trace.eval_lasso phi
+               ~prefix:(Array.of_list cex.Model_checker.prefix)
+               ~cycle:(Array.of_list cex.Model_checker.cycle)))
+
+(* The work arrays are reused across checks: a large product, a small
+   one, then the large one again must each give the reference's answer. *)
+let prop_emptiness_scratch_reuse =
+  QCheck.Test.make ~count:200 ~name:"emptiness: large, small, large agree"
+    (QCheck.make
+       ~print:(fun (phi, large, small) ->
+         Printf.sprintf "%s on %d then %d states" (Ltl.to_string phi)
+           (Kripke.n_states large) (Kripke.n_states small))
+       QCheck.Gen.(
+         triple gen_focus_formula
+           (gen_wide_kripke ~wide:true ~max_states:40)
+           (gen_wide_kripke ~wide:false ~max_states:3)))
+    (fun (phi, large, small) ->
+      let a = nba_of_negation phi in
+      let reference k =
+        let l, _, _ = Reference.find_accepting_lasso k a in
+        l
+      in
+      let first = Emptiness.find_accepting_lasso large a in
+      let second = Emptiness.find_accepting_lasso small a in
+      let third = Emptiness.find_accepting_lasso large a in
+      first = reference large && second = reference small && third = first)
+
+(* [mc.product_states] and [mc.sccs] grow by the product's size and
+   component count once per check, and appear in the metrics summary
+   that [stats] serves. *)
+let test_work_counters () =
+  let read name =
+    match List.assoc_opt name (Dpoaf_exec.Metrics.summary ()) with
+    | Some v -> int_of_float v
+    | None -> Alcotest.failf "%s missing from the metrics summary" name
+  in
+  let check k phi_str ~states ~components =
+    let phi = Ltl.parse_exn phi_str in
+    let _, ref_states, ref_components =
+      Reference.find_accepting_lasso k (nba_of_negation phi)
+    in
+    Alcotest.(check (pair int int))
+      ("reference counts for " ^ phi_str)
+      (states, components) (ref_states, ref_components);
+    let s0 = read "mc.product_states" and c0 = read "mc.sccs" in
+    ignore (Model_checker.check_kripke k phi);
+    Alcotest.(check int) ("product states for " ^ phi_str) states
+      (read "mc.product_states" - s0);
+    Alcotest.(check int) ("components for " ^ phi_str) components
+      (read "mc.sccs" - c0)
+  in
+  (* p -> {q, r}, q and r self-looping: the automaton of G !q pairs
+     only with states 0 and 2, a trivial component and a self-loop *)
+  check k_branch "F q" ~states:2 ~components:2;
+  check k_cycle "G F q" ~states:3 ~components:2;
+  check k_cycle "G p" ~states:5 ~components:3
 
 let qsuite name tests =
   (name, List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests)
@@ -723,4 +981,8 @@ let () =
           prop_graph_reachable; prop_graph_sccs; prop_graph_fair_lasso;
           prop_graph_explore;
         ];
+      qsuite "emptiness"
+        [ prop_emptiness_differential; prop_emptiness_scratch_reuse ];
+      ( "work-counters",
+        [ Alcotest.test_case "mc.product_states and mc.sccs" `Quick test_work_counters ] );
     ]

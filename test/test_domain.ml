@@ -194,6 +194,62 @@ let prop_refine_explanations_agree =
           (fun (e : Explain.t) -> (e.Explain.spec, e.Explain.text))
           (Domain.explain_steps domain ~only:violated steps))
 
+(* ---------------- pinned counterexamples ---------------- *)
+
+(* Every counterexample the verifier reports (spec, lasso labels,
+   state descriptions, provenance tags) and every explanation sentence,
+   for the pack's demo responses plus 50 seeded step lists, digested.
+   The digests pin lassos and explanation text across changes to the
+   product, emptiness and Kripke encoding: a kernel change that
+   renumbers states or picks another lasso moves them. *)
+let counterexample_digests =
+  [
+    ("driving", "342985919fa001103fd3c860a414db08");
+    ("household", "bbf53f6567e6e4f64f1c74993a07ac8d");
+    ("warehouse", "f64facbc9d73fd14650a9dd7d09c68b5");
+  ]
+
+let seeded_step_lists domain ~count =
+  let rng = Rng.create 22 in
+  let tasks = Domain.tasks domain in
+  List.init count (fun _ ->
+      let pool = Domain.candidate_steps domain (Rng.choice_list rng tasks) in
+      let n = 1 + Rng.int rng (min 5 (List.length pool)) in
+      List.init n (fun _ -> Rng.choice_list rng pool))
+
+let counterexample_digest domain =
+  let (module D : Domain.S) = domain in
+  let b = Buffer.create 4096 in
+  let line fmt = Printf.bprintf b (fmt ^^ "\n") in
+  let symbols l = String.concat " " (List.map Dpoaf_logic.Symbol.to_string l) in
+  let ints l = String.concat " " (List.map string_of_int l) in
+  List.iter
+    (fun steps ->
+      line "response %s" (String.concat " / " steps);
+      List.iter
+        (fun (name, _, (cex : MC.counterexample)) ->
+          line "cex %s" name;
+          line "prefix %s" (symbols cex.MC.prefix);
+          line "cycle %s" (symbols cex.MC.cycle);
+          line "prefix_descr %s" (String.concat " | " cex.MC.prefix_descr);
+          line "cycle_descr %s" (String.concat " | " cex.MC.cycle_descr);
+          line "tags %s / %s" (ints cex.MC.prefix_tags) (ints cex.MC.cycle_tags))
+        (Domain.counterexamples domain steps);
+      List.iter
+        (fun (e : Explain.t) -> line "explain %s: %s" e.Explain.spec e.Explain.text)
+        (Domain.explain_steps domain steps))
+    (List.map snd D.demo_responses @ seeded_step_lists domain ~count:50);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_counterexamples_pinned () =
+  List.iter
+    (fun (name, pinned) ->
+      Alcotest.(check string)
+        (name ^ " counterexample digest")
+        pinned
+        (counterexample_digest (Dpoaf_domain.find_exn name)))
+    counterexample_digests
+
 (* ---------------- cross-domain pipeline determinism ---------------- *)
 
 let small_model corpus seed =
@@ -406,6 +462,11 @@ let () =
           prop_explain_only_filters;
           prop_refine_explanations_agree;
         ];
+      ( "pinned",
+        [
+          Alcotest.test_case "counterexamples and explanations per pack" `Quick
+            test_counterexamples_pinned;
+        ] );
       ( "pipeline",
         [
           Alcotest.test_case "jobs-deterministic in every pack" `Slow
