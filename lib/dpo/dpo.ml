@@ -1,6 +1,4 @@
 module Model = Dpoaf_lm.Model
-module Autodiff = Dpoaf_tensor.Autodiff
-module Tensor = Dpoaf_tensor.Tensor
 
 type ref_logprobs = { ref_chosen : float; ref_rejected : float }
 
@@ -14,44 +12,6 @@ let reference_logprobs reference pair =
     ref_chosen = logprob reference pair pair.Pref_data.chosen;
     ref_rejected = logprob reference pair pair.Pref_data.rejected;
   }
-
-let pair_loss_node ~policy ~bound ~beta refs pair =
-  let tape = Model.tape_of_bound bound in
-  let lp_w, lp_l =
-    match Model.default_impl () with
-    | Model.Fused ->
-        (* fold the prompt once; both preference legs score from the
-           shared state, so the prompt-prefix work (the GRU fold in
-           particular) is not repeated per leg *)
-        let state =
-          Model.prompt_state policy bound ~prompt:pair.Pref_data.prompt
-        in
-        let lp tokens =
-          Model.response_logprob_node_from policy bound ~state
-            ~grammar:pair.Pref_data.grammar
-            ~min_clauses:pair.Pref_data.min_clauses
-            ~max_clauses:pair.Pref_data.max_clauses ~tokens
-        in
-        (lp pair.Pref_data.chosen, lp pair.Pref_data.rejected)
-    | Model.Unfused ->
-        (* reference path: each leg rebuilds its own prompt fold, exactly
-           as the pre-fusion implementation did *)
-        let lp tokens =
-          Model.response_logprob_node ~impl:Model.Unfused policy bound
-            ~prompt:pair.Pref_data.prompt ~grammar:pair.Pref_data.grammar
-            ~min_clauses:pair.Pref_data.min_clauses
-            ~max_clauses:pair.Pref_data.max_clauses ~tokens
-        in
-        (lp pair.Pref_data.chosen, lp pair.Pref_data.rejected)
-  in
-  (* x = β((lp_w − lp_l) − (ref_w − ref_l)); loss = softplus(−x) *)
-  let diff = Autodiff.sub tape lp_w lp_l in
-  let shift = Autodiff.const tape (Tensor.scalar (refs.ref_chosen -. refs.ref_rejected)) in
-  let x = Autodiff.scale tape beta (Autodiff.sub tape diff shift) in
-  let loss = Autodiff.softplus tape (Autodiff.neg tape x) in
-  ( loss,
-    Tensor.get (Autodiff.value lp_w) 0,
-    Tensor.get (Autodiff.value lp_l) 0 )
 
 type stats = { loss : float; accuracy : float; margin : float }
 

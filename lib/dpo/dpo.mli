@@ -18,16 +18,6 @@ type ref_logprobs = { ref_chosen : float; ref_rejected : float }
 val reference_logprobs : Dpoaf_lm.Model.t -> Pref_data.pair -> ref_logprobs
 (** Precompute the frozen reference terms for a pair. *)
 
-val pair_loss_node :
-  policy:Dpoaf_lm.Model.t ->
-  bound:Dpoaf_lm.Model.bound ->
-  beta:float ->
-  ref_logprobs ->
-  Pref_data.pair ->
-  Dpoaf_tensor.Autodiff.t * float * float
-(** [(loss node, policy logprob of chosen, of rejected)] — the floats are
-    read from the forward pass for metric computation. *)
-
 type stats = { loss : float; accuracy : float; margin : float }
 
 val evaluate :

@@ -26,7 +26,8 @@ type run = {
   seed : int;
   stats : epoch_stats list;  (** in epoch order, one entry per epoch *)
   checkpoints : (int * Dpoaf_lm.Model.t) list;
-      (** (epoch, policy snapshot); epoch 0 is always included *)
+      (** (epoch, policy snapshot); epoch 0 is always included, and is the
+          reference itself *)
   final : Dpoaf_lm.Model.t;
 }
 
@@ -67,28 +68,27 @@ val jsonl_line : step_record -> string
 
 val train :
   ?sink:sink ->
-  ?tape_mode:[ `Reuse | `Fresh ] ->
   reference:Dpoaf_lm.Model.t ->
   pairs:Pref_data.pair list ->
   config ->
   seed:int ->
   run
-(** Fine-tune a clone of [reference].  Reference log-probabilities are
-    computed once up front (the reference is frozen).  [?sink] receives
-    one {!step_record} per optimizer step.
+(** Fine-tune a {!Dpoaf_lm.Model.clone} of [reference]: the policy and
+    every checkpoint own their adapter and share the reference's frozen
+    tensors, which training never writes ([reference] itself is left
+    unchanged).  [?sink] receives one {!step_record} per optimizer step.
 
-    [?tape_mode] (default [`Reuse]) controls the autodiff arena: [`Reuse]
-    runs every batch step on one {!Dpoaf_tensor.Autodiff.Tape.t}, recycled
-    via [Tape.reset] so gradient buffers are pooled across steps; [`Fresh]
-    allocates a tape per step and exists only as the benchmark baseline.
-    The two produce bit-identical training results.  Arena accounting is
-    published through {!Dpoaf_exec.Metrics} as the [tape.nodes] and
-    [tape.buffer_reuse] counters. *)
+    Only the adapter trains, so each pair's frozen features (per scored
+    position: the allowed tokens, the target, the conditioning vector [h]
+    and the frozen logits [W h]) and its reference log-probabilities are
+    computed once up front.  A step computes the adapter logits and
+    closed-form adapter gradients from them, with no autodiff tape; it is
+    bit-identical to back-propagating the DPO loss through
+    {!Dpoaf_tensor.Autodiff.lora_logit_logprob} on a tape. *)
 
 val train_seeds :
   ?jobs:int ->
   ?sink:sink ->
-  ?tape_mode:[ `Reuse | `Fresh ] ->
   reference:Dpoaf_lm.Model.t ->
   pairs:Pref_data.pair list ->
   config ->

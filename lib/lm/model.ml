@@ -53,22 +53,7 @@ let create rng config vocab =
             });
   }
 
-let clone t =
-  {
-    t with
-    embedding = Tensor.copy t.embedding;
-    out = Lora.clone t.out;
-    bias = Tensor.copy t.bias;
-    gru =
-      Option.map
-        (fun g ->
-          {
-            wz = Tensor.copy g.wz; uz = Tensor.copy g.uz; bz = Tensor.copy g.bz;
-            wr = Tensor.copy g.wr; ur = Tensor.copy g.ur; br = Tensor.copy g.br;
-            wh = Tensor.copy g.wh; uh = Tensor.copy g.uh; bh = Tensor.copy g.bh;
-          })
-        t.gru;
-  }
+let clone t = { t with out = Lora.clone t.out }
 
 let params_pretrain t =
   [

@@ -48,7 +48,11 @@ type t = private {
 val create : Dpoaf_util.Rng.t -> config -> Vocab.t -> t
 
 val clone : t -> t
-(** Deep copy (used for the frozen DPO reference model and checkpoints). *)
+(** A copy that owns its adapter [A], [B] and shares every frozen tensor
+    (embedding, output base, bias, GRU weights) with the original: a DPO
+    policy, a checkpoint and a REINFORCE policy cost one adapter each.
+    Only {!Pretrain} writes the frozen tensors, so a clone (and the model
+    it was cloned from, once cloned) must never be pretrained. *)
 
 val params_pretrain : t -> Dpoaf_tensor.Optim.param list
 (** Embedding, output base and bias — trained during MLE pre-training. *)

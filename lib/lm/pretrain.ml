@@ -25,6 +25,11 @@ let mean_nll model examples =
       List.fold_left (fun acc ex -> acc +. nll model ex) 0.0 examples
       /. float_of_int (List.length examples)
 
+(* Arena accounting for pre-training: nodes recorded, summed over batch
+   steps, and adjoint buffers served from the pool, added once per run. *)
+let tape_nodes = Dpoaf_exec.Metrics.counter "tape.nodes"
+let tape_buffer_reuse = Dpoaf_exec.Metrics.counter "tape.buffer_reuse"
+
 let batch_step model opt tape examples =
   Autodiff.Tape.reset tape;
   let bound = Model.bind model tape in
@@ -35,6 +40,7 @@ let batch_step model opt tape examples =
   in
   Autodiff.backward tape loss;
   Optim.Adam.step opt (Model.pretrain_grads model bound);
+  Dpoaf_exec.Metrics.add tape_nodes (Autodiff.Tape.length tape);
   Tensor.get (Autodiff.value loss) 0
 
 let train model examples ~epochs ~batch ~lr rng =
@@ -42,15 +48,20 @@ let train model examples ~epochs ~batch ~lr rng =
   let arr = Array.of_list examples in
   (* one pooled arena for the whole run *)
   let tape = Autodiff.Tape.create () in
-  List.init epochs (fun _ ->
-      Dpoaf_util.Rng.shuffle rng arr;
-      let n = Array.length arr in
-      let losses = ref [] in
-      let i = ref 0 in
-      while !i < n do
-        let size = min batch (n - !i) in
-        let chunk = Array.to_list (Array.sub arr !i size) in
-        losses := batch_step model opt tape chunk :: !losses;
-        i := !i + size
-      done;
-      Dpoaf_util.Stats.mean !losses)
+  let losses =
+    List.init epochs (fun _ ->
+        Dpoaf_util.Rng.shuffle rng arr;
+        let n = Array.length arr in
+        let losses = ref [] in
+        let i = ref 0 in
+        while !i < n do
+          let size = min batch (n - !i) in
+          let chunk = Array.to_list (Array.sub arr !i size) in
+          losses := batch_step model opt tape chunk :: !losses;
+          i := !i + size
+        done;
+        Dpoaf_util.Stats.mean !losses)
+  in
+  Dpoaf_exec.Metrics.add tape_buffer_reuse
+    (Autodiff.Tape.stats tape).Autodiff.Tape.buffers_reused;
+  losses

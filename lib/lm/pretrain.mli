@@ -27,4 +27,6 @@ val train :
   Dpoaf_util.Rng.t ->
   float list
 (** Adam training of the pre-training parameters; returns the mean NLL per
-    epoch (shuffled minibatches). *)
+    epoch (shuffled minibatches).  It writes the frozen tensors in place,
+    and every {!Model.clone} shares them: pretrain only a fresh model,
+    before anything clones it. *)

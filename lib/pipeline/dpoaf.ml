@@ -8,6 +8,7 @@ module Stats = Dpoaf_util.Stats
 module Pool = Dpoaf_exec.Pool
 module Metrics = Dpoaf_exec.Metrics
 module Trace = Dpoaf_exec.Trace
+module Cache = Dpoaf_exec.Cache
 
 type config = {
   responses_per_task : int;
@@ -24,6 +25,15 @@ let default_config =
     trainer = Trainer.default_config;
   }
 
+(* One shared copy of each sampled response and of each mined pair: both
+   recur within a round and across rounds, and what a caller keeps of
+   many rounds (pairs, profiles) then holds one copy of each. *)
+let responses : (int list, int list) Cache.t =
+  Cache.create ~capacity:4096 ~name:"pipeline.responses" ()
+
+let mined : (Pref_data.pair, Pref_data.pair) Cache.t =
+  Cache.create ~capacity:4096 ~name:"pipeline.pairs" ()
+
 (* Sampling consumes the shared RNG stream and stays sequential — the token
    sequences are therefore identical for every worker count.  Scoring is a
    pure function of the tokens (verification + shared cache), so it fans
@@ -36,9 +46,12 @@ let sample_scored ?(harden = false) ?jobs corpus feedback model rng ~m ~temperat
       (fun () ->
         let snap = Sampler.snapshot model in
         List.init m (fun _ ->
-            Sampler.sample snap rng ~prompt:setup.Corpus.prompt
-              ~grammar:setup.Corpus.grammar ~min_clauses:setup.Corpus.min_clauses
-              ~max_clauses:setup.Corpus.max_clauses ~temperature ()))
+            let tokens =
+              Sampler.sample snap rng ~prompt:setup.Corpus.prompt
+                ~grammar:setup.Corpus.grammar ~min_clauses:setup.Corpus.min_clauses
+                ~max_clauses:setup.Corpus.max_clauses ~temperature ()
+            in
+            Cache.find_or_add responses tokens (fun () -> tokens)))
   in
   let profile =
     if harden then Feedback.profile_tokens_hardened else Feedback.profile_tokens
@@ -100,11 +113,11 @@ let collect_pairs ?jobs ?(explain = false) corpus feedback model rng ~m
               ~min_clauses:setup.Corpus.min_clauses
               ~max_clauses:setup.Corpus.max_clauses scored
           in
-          List.iter
+          List.map
             (fun p ->
-              if Pref_data.vacuous_margin p then Metrics.incr vacuous_margin_pairs)
-            pairs;
-          pairs)
+              if Pref_data.vacuous_margin p then Metrics.incr vacuous_margin_pairs;
+              Cache.find_or_add mined p (fun () -> p))
+            pairs)
         (Corpus.setups_of_split corpus split))
 
 let mean_specs_satisfied ?(harden = false) ?jobs corpus feedback model rng ~samples

@@ -20,8 +20,7 @@ let forward tape _l ~base_node ~a_node ~b_node x =
   let abx = Autodiff.matvec tape a_node bx in
   Autodiff.add tape wx abx
 
-let clone l =
-  { base = Tensor.copy l.base; a = Tensor.copy l.a; b = Tensor.copy l.b; rank = l.rank }
+let clone l = { l with a = Tensor.copy l.a; b = Tensor.copy l.b }
 
 let effective l =
   let m, n =

@@ -28,7 +28,8 @@ val forward :
     tape nodes ([base_node] typically a [const]). *)
 
 val clone : t -> t
-(** Deep copy of base and adapters. *)
+(** Copies the adapters [A] and [B]; the clone shares the frozen base
+    [W] with the original. *)
 
 val effective : t -> Tensor.t
 (** Materialize [W + A·B] (for evaluation-only passes). *)

@@ -139,6 +139,184 @@ let test_vacuous_margin () =
       Alcotest.(check bool) "flagged" true (Pref_data.vacuous_margin p)
   | pairs -> Alcotest.failf "expected one pair, got %d" (List.length pairs)
 
+(* ---------------- the tape oracle ---------------- *)
+
+(* DPO on an autodiff tape: every step scores both legs of each pair
+   through the model's differentiable path ([Model.Fused] kernels, or the
+   [Unfused] primitive-op composition under [Model.set_default_impl]) and
+   back-propagates the loss.  [Trainer.train] steps on frozen features
+   without a tape and must train exactly like this, bit for bit. *)
+module Oracle = struct
+  module Autodiff = Dpoaf_tensor.Autodiff
+  module Optim = Dpoaf_tensor.Optim
+  module Tensor = Dpoaf_tensor.Tensor
+
+  let pair_loss_node ~policy ~bound ~beta (refs : Dpo.ref_logprobs) pair =
+    let tape = Model.tape_of_bound bound in
+    let lp_w, lp_l =
+      match Model.default_impl () with
+      | Model.Fused ->
+          (* both legs score from one prompt fold *)
+          let state = Model.prompt_state policy bound ~prompt:pair.Pref_data.prompt in
+          let lp tokens =
+            Model.response_logprob_node_from policy bound ~state
+              ~grammar:pair.Pref_data.grammar ~min_clauses:pair.Pref_data.min_clauses
+              ~max_clauses:pair.Pref_data.max_clauses ~tokens
+          in
+          (lp pair.Pref_data.chosen, lp pair.Pref_data.rejected)
+      | Model.Unfused ->
+          let lp tokens =
+            Model.response_logprob_node ~impl:Model.Unfused policy bound
+              ~prompt:pair.Pref_data.prompt ~grammar:pair.Pref_data.grammar
+              ~min_clauses:pair.Pref_data.min_clauses
+              ~max_clauses:pair.Pref_data.max_clauses ~tokens
+          in
+          (lp pair.Pref_data.chosen, lp pair.Pref_data.rejected)
+    in
+    (* x = β((lp_w − lp_l) − (ref_w − ref_l)); loss = softplus(−x) *)
+    let diff = Autodiff.sub tape lp_w lp_l in
+    let shift =
+      Autodiff.const tape (Tensor.scalar (refs.Dpo.ref_chosen -. refs.Dpo.ref_rejected))
+    in
+    let x = Autodiff.scale tape beta (Autodiff.sub tape diff shift) in
+    let loss = Autodiff.softplus tape (Autodiff.neg tape x) in
+    (loss, Tensor.get (Autodiff.value lp_w) 0, Tensor.get (Autodiff.value lp_l) 0)
+
+  let l2_norm tensors =
+    sqrt
+      (List.fold_left
+         (fun acc t ->
+           let s = ref 0.0 in
+           for i = 0 to Tensor.numel t - 1 do
+             let x = Tensor.get t i in
+             s := !s +. (x *. x)
+           done;
+           acc +. !s)
+         0.0 tensors)
+
+  let batch_step ~tape policy opt ~beta refs_pairs =
+    Autodiff.Tape.reset tape;
+    let bound = Model.bind policy tape in
+    let n = float_of_int (List.length refs_pairs) in
+    let results =
+      List.map (fun (refs, pair) -> pair_loss_node ~policy ~bound ~beta refs pair) refs_pairs
+    in
+    let total = Autodiff.add_list tape (List.map (fun (l, _, _) -> l) results) in
+    let mean_loss = Autodiff.scale tape (1.0 /. n) total in
+    Autodiff.backward tape mean_loss;
+    let grads = Model.lora_grads policy bound in
+    let grad_norm = l2_norm (List.map snd grads) in
+    let before =
+      List.map (fun ((p : Optim.param), _) -> Tensor.copy p.Optim.tensor) grads
+    in
+    Optim.Adam.step opt grads;
+    let update_norm =
+      l2_norm
+        (List.map2
+           (fun old ((p : Optim.param), _) ->
+             Tensor.map2 (fun a b -> a -. b) p.Optim.tensor old)
+           before grads)
+    in
+    let acc = Dpoaf_util.Stats.fraction (fun (_, w, l) -> w > l) results in
+    let margin =
+      Dpoaf_util.Stats.mean
+        (List.map2
+           (fun ((refs : Dpo.ref_logprobs), _) (_, w, l) ->
+             w -. refs.Dpo.ref_chosen -. (l -. refs.Dpo.ref_rejected))
+           refs_pairs results)
+    in
+    let logp_gap = Dpoaf_util.Stats.mean (List.map (fun (_, w, l) -> w -. l) results) in
+    ( (Tensor.get (Autodiff.value mean_loss) 0, acc, margin),
+      (logp_gap, grad_norm, update_norm) )
+
+  (* [`Reuse] runs every step on one arena tape, [`Fresh] on a new tape
+     per step. *)
+  let train ?sink ~tape_mode ~reference ~pairs (config : Trainer.config) ~seed =
+    let policy = Model.clone reference in
+    let arr =
+      Array.of_list (List.map (fun pair -> (Dpo.reference_logprobs reference pair, pair)) pairs)
+    in
+    let opt = Optim.Adam.create ~lr:config.Trainer.lr () in
+    let rng = Rng.create seed in
+    let checkpoints = ref [ (0, reference) ] in
+    let stats = ref [] in
+    let global_step = ref 0 in
+    let run_tape = Autodiff.Tape.create () in
+    for epoch = 1 to config.Trainer.epochs do
+      if config.Trainer.shuffle_each_epoch then Rng.shuffle rng arr;
+      let n = Array.length arr in
+      let totals = ref [] in
+      let i = ref 0 in
+      while !i < n do
+        let size = min config.Trainer.batch (n - !i) in
+        let tape =
+          match tape_mode with `Reuse -> run_tape | `Fresh -> Autodiff.Tape.create ()
+        in
+        let ((loss, accuracy, margin) as triple), (logp_gap, grad_norm, update_norm) =
+          batch_step ~tape policy opt ~beta:config.Trainer.beta
+            (Array.to_list (Array.sub arr !i size))
+        in
+        incr global_step;
+        Option.iter
+          (fun emit ->
+            emit
+              { Trainer.seed; epoch; step = !global_step; loss; accuracy; margin;
+                logp_gap; grad_norm; update_norm; seconds = 0.0 })
+          sink;
+        totals := (triple, size) :: !totals;
+        i := !i + size
+      done;
+      let weight f =
+        let total = List.fold_left (fun acc (_, s) -> acc + s) 0 !totals in
+        List.fold_left (fun acc (t, s) -> acc +. (f t *. float_of_int s)) 0.0 !totals
+        /. float_of_int (max 1 total)
+      in
+      stats :=
+        { Trainer.epoch; loss = weight (fun (l, _, _) -> l);
+          accuracy = weight (fun (_, a, _) -> a); margin = weight (fun (_, _, m) -> m) }
+        :: !stats;
+      if config.Trainer.checkpoint_every > 0 && epoch mod config.Trainer.checkpoint_every = 0
+      then checkpoints := (epoch, Model.clone policy) :: !checkpoints
+    done;
+    { Trainer.seed; stats = List.rev !stats; checkpoints = List.rev !checkpoints;
+      final = policy }
+end
+
+(* Everything a run computes, as bits: per-epoch stats, step records
+   without their wall time, and each checkpoint's and the final adapter. *)
+let run_bits ?(records = []) (run : Trainer.run) =
+  let b = Int64.bits_of_float in
+  let adapter m =
+    Array.map b
+      (Array.append m.Model.out.Dpoaf_tensor.Lora.a.Dpoaf_tensor.Tensor.data
+         m.Model.out.Dpoaf_tensor.Lora.b.Dpoaf_tensor.Tensor.data)
+  in
+  ( List.map
+      (fun (s : Trainer.epoch_stats) ->
+        (s.Trainer.epoch, b s.Trainer.loss, b s.Trainer.accuracy, b s.Trainer.margin))
+      run.Trainer.stats,
+    List.map
+      (fun (r : Trainer.step_record) ->
+        ( (r.Trainer.epoch, r.Trainer.step),
+          List.map b
+            [ r.Trainer.loss; r.Trainer.accuracy; r.Trainer.margin; r.Trainer.logp_gap;
+              r.Trainer.grad_norm; r.Trainer.update_norm ] ))
+      records,
+    List.map (fun (e, m) -> (e, adapter m)) run.Trainer.checkpoints,
+    adapter run.Trainer.final )
+
+(* Trains with [train], recording every step, and returns {!run_bits}. *)
+let recorded_bits train =
+  let records = ref [] in
+  let run = train (fun r -> records := r :: !records) in
+  run_bits ~records:(List.rev !records) run
+
+let production ~reference ~pairs config ~seed =
+  recorded_bits (fun sink -> Trainer.train ~sink ~reference ~pairs config ~seed)
+
+let oracle ~tape_mode ~reference ~pairs config ~seed =
+  recorded_bits (fun sink -> Oracle.train ~sink ~tape_mode ~reference ~pairs config ~seed)
+
 (* ---------------- loss and metrics ---------------- *)
 
 let test_initial_margin_zero () =
@@ -157,7 +335,7 @@ let test_loss_node_matches_evaluate () =
   let refs = Dpo.reference_logprobs reference pair in
   let tape = Dpoaf_tensor.Autodiff.Tape.create () in
   let bound = Model.bind policy tape in
-  let loss_node, _, _ = Dpo.pair_loss_node ~policy ~bound ~beta:0.5 refs pair in
+  let loss_node, _, _ = Oracle.pair_loss_node ~policy ~bound ~beta:0.5 refs pair in
   let stats = Dpo.evaluate ~policy ~reference ~beta:0.5 [ pair ] in
   Alcotest.(check (float 1e-9)) "node = eval"
     stats.Dpo.loss
@@ -240,40 +418,113 @@ let test_seeds_same_start_different_order () =
     runs
 
 let test_tape_mode_bitwise_identical () =
-  (* Reusing one arena across every step must leave no trace in the
-     results: same per-epoch stats, bit-identical final adapter. *)
+  (* the trainer equals the tape oracle on one reused arena and on a fresh
+     tape per step: stats, step records, checkpoints and final adapter *)
   let pairs = training_pairs () in
-  let run mode =
-    Trainer.train ~tape_mode:mode ~reference:(make_model 29) ~pairs
-      (quick_config 8) ~seed:5
-  in
-  let reuse = run `Reuse and fresh = run `Fresh in
-  Alcotest.(check bool) "epoch stats identical" true
-    (reuse.Trainer.stats = fresh.Trainer.stats);
-  let bits m =
-    Array.map Int64.bits_of_float
-      m.Model.out.Dpoaf_tensor.Lora.a.Dpoaf_tensor.Tensor.data
-  in
-  Alcotest.(check bool) "final adapter bit-identical" true
-    (bits reuse.Trainer.final = bits fresh.Trainer.final)
+  let reference = make_model 29 in
+  let run f = f ~reference ~pairs (quick_config 8) ~seed:5 in
+  let trainer = run production in
+  Alcotest.(check bool) "trainer = oracle on a reused tape" true
+    (trainer = run (oracle ~tape_mode:`Reuse));
+  Alcotest.(check bool) "trainer = oracle on fresh tapes" true
+    (trainer = run (oracle ~tape_mode:`Fresh))
 
 let test_unfused_fresh_equals_fused_reuse () =
-  (* Both kernel axes at once: the unfused composition on a fresh tape
-     per step must train exactly like the fused kernels on one reused
-     arena. *)
+  (* both kernel axes at once: the trainer equals the unfused composition
+     on a fresh tape per step and the fused kernels on one reused arena *)
   let pairs = training_pairs () in
-  let run impl mode =
+  let reference = make_model 31 in
+  let run f = f ~reference ~pairs (quick_config 8) ~seed:7 in
+  let with_impl impl f =
     Model.set_default_impl impl;
-    Fun.protect
-      ~finally:(fun () -> Model.set_default_impl Model.Fused)
-      (fun () ->
-        Trainer.train ~tape_mode:mode ~reference:(make_model 31) ~pairs
-          (quick_config 8) ~seed:7)
+    Fun.protect ~finally:(fun () -> Model.set_default_impl Model.Fused) f
   in
-  let before = run Model.Unfused `Fresh in
-  let after = run Model.Fused `Reuse in
-  Alcotest.(check bool) "epoch stats identical" true
-    (before.Trainer.stats = after.Trainer.stats)
+  let trainer = run production in
+  Alcotest.(check bool) "trainer = unfused fresh" true
+    (trainer = with_impl Model.Unfused (fun () -> run (oracle ~tape_mode:`Fresh)));
+  Alcotest.(check bool) "trainer = fused reuse" true
+    (trainer = run (oracle ~tape_mode:`Reuse))
+
+(* Random pairs on Bow and GRU models, batch sizes that do not divide the
+   pair count, shuffling on and off: the trainer and the tape oracle
+   agree bit for bit. *)
+let prop_trainer_matches_oracle =
+  QCheck.Test.make ~count:100 ~name:"trainer = tape oracle bit for bit" QCheck.small_nat
+    (fun seed ->
+      let rng = Rng.create (seed + 1) in
+      let arch = if Rng.int rng 2 = 0 then Model.Bow else Model.Gru in
+      let reference =
+        Model.create (Rng.create (Rng.int rng 1000))
+          { Model.dim = 6; context = 1 + Rng.int rng 6; lora_rank = 1 + Rng.int rng 3; arch }
+          vocab
+      in
+      let batch = 2 + Rng.int rng 4 in
+      let n = batch + 1 + Rng.int rng (2 * batch) in
+      let n = if n mod batch = 0 then n + 1 else n in
+      let response () =
+        List.init (1 + Rng.int rng 3) (fun _ -> List.nth clauses (Rng.int rng (List.length clauses)))
+      in
+      let pairs = List.init n (fun _ -> mk_pair (response ()) (response ())) in
+      let config =
+        { Trainer.beta = 0.5; lr = 0.05; epochs = 1 + Rng.int rng 3; batch;
+          checkpoint_every = 1 + Rng.int rng 2; shuffle_each_epoch = Rng.int rng 2 = 0 }
+      in
+      let seed = Rng.int rng 1000 in
+      production ~reference ~pairs config ~seed
+      = oracle ~tape_mode:`Reuse ~reference ~pairs config ~seed)
+
+let test_reference_safety () =
+  (* a GRU reference, so every kind of frozen tensor is covered *)
+  let reference =
+    Model.create (Rng.create 41) { Model.dim = 8; context = 6; lora_rank = 2; arch = Model.Gru }
+      vocab
+  in
+  let module T = Dpoaf_tensor.Tensor in
+  let module L = Dpoaf_tensor.Lora in
+  let frozen m =
+    [ m.Model.embedding; m.Model.out.L.base; m.Model.bias ]
+    @
+    match m.Model.gru with
+    | None -> []
+    | Some g -> Model.[ g.wz; g.uz; g.bz; g.wr; g.ur; g.br; g.wh; g.uh; g.bh ]
+  in
+  let adapter m = [ m.Model.out.L.a; m.Model.out.L.b ] in
+  let all m = frozen m @ adapter m in
+  let bits t = Array.map Int64.bits_of_float t.T.data in
+  let snapshot = List.map (fun t -> bits (T.copy t)) (all reference) in
+  let unchanged what =
+    Alcotest.(check bool) (what ^ ": reference bitwise unchanged") true
+      (List.map bits (all reference) = snapshot)
+  in
+  let owns_adapter what m =
+    Alcotest.(check bool) (what ^ " shares the frozen tensors") true
+      (List.for_all2 ( == ) (frozen m) (frozen reference));
+    Alcotest.(check bool) (what ^ " owns its adapter") true
+      (List.for_all2 ( != ) (adapter m) (adapter reference))
+  in
+  let check_run what (run : Trainer.run) =
+    owns_adapter (what ^ " policy") run.Trainer.final;
+    List.iter
+      (fun (epoch, m) ->
+        if epoch = 0 then
+          Alcotest.(check bool) (what ^ " epoch 0 is the reference") true (m == reference)
+        else owns_adapter (Printf.sprintf "%s checkpoint %d" what epoch) m)
+      run.Trainer.checkpoints
+  in
+  let pairs = training_pairs () in
+  check_run "train" (Trainer.train ~reference ~pairs (quick_config 5) ~seed:1);
+  unchanged "train";
+  List.iter (check_run "train_seeds")
+    (Trainer.train_seeds ~jobs:2 ~reference ~pairs (quick_config 5) ~seeds:[ 1; 2 ]);
+  unchanged "train_seeds";
+  let task =
+    { Reinforce.prompt; grammar; min_clauses = 1; max_clauses = 2;
+      reward = (fun tokens -> float_of_int (List.length tokens)) }
+  in
+  let config = { Reinforce.lr = 0.05; epochs = 5; samples_per_task = 4; temperature = 1.0 } in
+  owns_adapter "reinforce policy"
+    (Reinforce.train ~reference ~tasks:[ task ] config ~seed:3).Reinforce.final;
+  unchanged "reinforce"
 
 let test_epoch0_checkpoint_is_reference () =
   let reference = make_model 23 in
@@ -364,7 +615,13 @@ let test_reinforce_improves_reward () =
 
 let test_reinforce_reference_untouched () =
   let reference = make_model 30 in
-  let before = Model.clone reference in
+  let module T = Dpoaf_tensor.Tensor in
+  let tensors (m : Model.t) =
+    Dpoaf_tensor.Lora.[ m.Model.out.a; m.Model.out.b; m.Model.out.base ]
+    @ [ m.Model.embedding; m.Model.bias ]
+  in
+  (* copies, not a clone: a clone shares the frozen tensors *)
+  let before = List.map T.copy (tensors reference) in
   let task =
     { Reinforce.prompt; grammar; min_clauses = 1; max_clauses = 2;
       reward = (fun _ -> 1.0) }
@@ -373,9 +630,8 @@ let test_reinforce_reference_untouched () =
     { Reinforce.lr = 0.05; epochs = 5; samples_per_task = 4; temperature = 1.0 }
   in
   let _ = Reinforce.train ~reference ~tasks:[ task ] config ~seed:2 in
-  Alcotest.(check bool) "reference adapters unchanged" true
-    (Dpoaf_tensor.Tensor.approx_equal reference.Model.out.Dpoaf_tensor.Lora.a
-       before.Model.out.Dpoaf_tensor.Lora.a)
+  Alcotest.(check bool) "reference tensors unchanged" true
+    (List.for_all2 (fun a b -> a.T.data = b.T.data) (tensors reference) before)
 
 let () =
   Alcotest.run "dpo"
@@ -405,6 +661,8 @@ let () =
             test_tape_mode_bitwise_identical;
           Alcotest.test_case "unfused fresh = fused reuse" `Quick
             test_unfused_fresh_equals_fused_reuse;
+          QCheck_alcotest.to_alcotest prop_trainer_matches_oracle;
+          Alcotest.test_case "reference safety" `Quick test_reference_safety;
           Alcotest.test_case "step records" `Quick test_step_records_stream;
         ] );
       ( "reinforce",

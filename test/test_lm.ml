@@ -199,12 +199,23 @@ let test_greedy_deterministic () =
   Alcotest.(check bool) "same output" true (a = b)
 
 let test_clone_independent () =
+  (* a clone owns its adapter and shares the frozen tensors *)
   let v = make_vocab () in
   let model = make_model 1 v in
   let copy = Model.clone model in
-  Dpoaf_tensor.Tensor.set model.Model.bias 0 99.0;
-  Alcotest.(check bool) "clone unaffected" true
-    (Dpoaf_tensor.Tensor.get copy.Model.bias 0 <> 99.0)
+  let module T = Dpoaf_tensor.Tensor in
+  let module L = Dpoaf_tensor.Lora in
+  Alcotest.(check bool) "frozen tensors shared" true
+    (copy.Model.embedding == model.Model.embedding
+    && copy.Model.out.L.base == model.Model.out.L.base
+    && copy.Model.bias == model.Model.bias);
+  Alcotest.(check bool) "adapter copied" true
+    (copy.Model.out.L.a.T.data = model.Model.out.L.a.T.data
+    && copy.Model.out.L.b.T.data = model.Model.out.L.b.T.data);
+  T.set copy.Model.out.L.a 0 99.0;
+  T.set copy.Model.out.L.b 0 99.0;
+  Alcotest.(check bool) "original adapter unaffected" true
+    (T.get model.Model.out.L.a 0 <> 99.0 && T.get model.Model.out.L.b 0 <> 99.0)
 
 (* ---------------- pretraining ---------------- *)
 
