@@ -1365,9 +1365,10 @@ let run_serve socket tcp_port shards prompt_cache domains checkpoint jobs
   | None -> ());
   Printf.printf
     "daemon stopped: connections=%d requests=%d responses=%d \
-     protocol_errors=%d\n"
+     protocol_errors=%d outbox_overflows=%d\n"
     stats.Serve.Daemon.connections stats.Serve.Daemon.requests
     stats.Serve.Daemon.responses stats.Serve.Daemon.protocol_errors
+    stats.Serve.Daemon.outbox_overflows
 
 let tcp_port_arg =
   Arg.(value & opt (some int) None

@@ -364,6 +364,10 @@ let snapshot_of_json j =
         Error (Printf.sprintf "histogram snapshot field %S must be a number" name)
   in
   let* count = num_field "count" in
+  let* count =
+    if Json.is_int count then Ok (int_of_float count)
+    else Error "histogram snapshot field \"count\" must be an integer"
+  in
   let* sum = num_field "sum" in
   let* minv = num_field "min" in
   let* maxv = num_field "max" in
@@ -378,8 +382,10 @@ let snapshot_of_json j =
                   match
                     (Json.to_float jlo, Json.to_float jhi, Json.to_float jc)
                   with
-                  | Some lo, Some hi, Some c ->
+                  | Some lo, Some hi, Some c when Json.is_int c ->
                       go ((lo, hi, int_of_float c) :: acc) rest
+                  | Some _, Some _, Some _ ->
+                      Error "histogram snapshot bucket counts must be integers"
                   | _ ->
                       Error
                         "histogram snapshot buckets must be [lower, upper, \
@@ -392,7 +398,7 @@ let snapshot_of_json j =
         go [] items
     | _ -> Error "histogram snapshot field \"buckets\" must be an array"
   in
-  Ok { count = int_of_float count; sum; min = minv; max = maxv; buckets }
+  Ok { count; sum; min = minv; max = maxv; buckets }
 
 let runtime_gauges () =
   (* [Gc.stat] walks the heap (it triggers a major collection) — acceptable

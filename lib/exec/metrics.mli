@@ -135,7 +135,7 @@ val json_of_snapshot : hist_snapshot -> Dpoaf_util.Json.t
 
 val snapshot_of_json : Dpoaf_util.Json.t -> (hist_snapshot, string) result
 (** Strict inverse of {!json_of_snapshot}; the error names the offending
-    field. *)
+    field.  Counts must be integral and within 2^53 of zero. *)
 
 (** {1 Runtime gauges} *)
 

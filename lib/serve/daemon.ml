@@ -4,7 +4,8 @@
    One [Unix.select] event loop owns all sockets; request execution lives
    entirely in the {!Router}'s replica servers.  Completion callbacks
    run on their worker domains, so each connection's outbox is a
-   mutex-guarded queue the event loop flushes — and every enqueue
+   mutex-guarded buffer the responses are encoded straight into and the
+   event loop flushes — and every enqueue
    writes one byte down a self-pipe whose read end sits in the select
    set, so a finished response wakes the loop immediately
    instead of waiting out a polling interval.  That wake-up is what lets
@@ -40,25 +41,37 @@ type stats = {
   requests : int;
   responses : int;
   protocol_errors : int;
+  outbox_overflows : int;
 }
 
 type client = {
   fd : Unix.file_descr;
   line : Buffer.t;  (* the current line's bytes received so far *)
-  outbox : string Queue.t;
   omutex : Mutex.t;
-  mutable outbuf : string;  (* partially written wire bytes *)
+  outbox : Buffer.t;  (* response lines not yet taken for writing; omutex *)
+  discard : bool Atomic.t;
+      (* later responses are dropped: set when the outbox overflows (the
+         loop then closes a live client) and when the loop closes one *)
+  mutable sending : string;  (* the loop's: bytes taken from the outbox *)
+  mutable sent : int;  (* how many of [sending] are written *)
   mutable closing : bool;  (* read no more; close once the outbox is sent *)
   mutable alive : bool;
 }
 
 let protocol_errors_c = Dpoaf_exec.Metrics.counter "serve.protocol_errors"
+let outbox_overflows_c = Dpoaf_exec.Metrics.counter "serve.outbox_overflows"
 
 (* the longest request line a connection may send; longer ones are
    answered with one error line and the connection is closed, so a client
    that never sends a newline cannot make the daemon buffer without
    bound *)
 let max_line_bytes = 1 lsl 20
+
+(* the most response bytes a connection may leave unread in its outbox
+   (besides the batch being written); a client that reads more slowly
+   than it asks is closed once past it, so it cannot make the daemon
+   buffer without bound *)
+let max_outbox_bytes = 4 * max_line_bytes
 
 (* ---------------- wake-up plumbing ---------------- *)
 
@@ -114,35 +127,56 @@ let install_signal_handlers () =
    is therefore atomic while the other stats stay event-loop-private. *)
 let responses_sent = Atomic.make 0
 
-let push_out client line =
+(* the response is encoded straight into the outbox, newline and all *)
+let push_out client resp =
   Mutex.lock client.omutex;
-  Queue.push (line ^ "\n") client.outbox;
+  if not (Atomic.get client.discard) then begin
+    Protocol.write_response client.outbox resp;
+    Buffer.add_char client.outbox '\n';
+    if Buffer.length client.outbox > max_outbox_bytes then begin
+      Atomic.set client.discard true;
+      Buffer.reset client.outbox
+    end
+  end;
   Mutex.unlock client.omutex;
   Atomic.incr responses_sent;
   wake ()
 
-(* move queued lines into the flat write buffer; [true] if bytes remain *)
-let refill_outbuf client =
-  Mutex.lock client.omutex;
-  if client.outbuf = "" && not (Queue.is_empty client.outbox) then begin
-    let b = Buffer.create 256 in
-    while not (Queue.is_empty client.outbox) do
-      Buffer.add_string b (Queue.pop client.outbox)
-    done;
-    client.outbuf <- Buffer.contents b
+(* once [sending] is written, take what the outbox holds; [true] if bytes
+   remain to write *)
+let refill client =
+  if client.sent = String.length client.sending then begin
+    Mutex.lock client.omutex;
+    if Buffer.length client.outbox > 0 then begin
+      client.sending <- Buffer.contents client.outbox;
+      client.sent <- 0;
+      Buffer.clear client.outbox
+    end;
+    Mutex.unlock client.omutex
   end;
-  let remaining = client.outbuf <> "" in
-  Mutex.unlock client.omutex;
-  remaining
+  client.sent < String.length client.sending
 
+(* a partial write only moves the offset: the unsent rest is never
+   copied *)
 let flush_client client =
-  if refill_outbuf client then begin
-    let buf = client.outbuf in
-    match Unix.write_substring client.fd buf 0 (String.length buf) with
-    | n -> client.outbuf <- String.sub buf n (String.length buf - n)
+  if refill client then
+    match
+      Unix.write_substring client.fd client.sending client.sent
+        (String.length client.sending - client.sent)
+    with
+    | n -> client.sent <- client.sent + n
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error (_, _, _) -> client.alive <- false
-  end
+
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* later completions for a closed client are dropped, not buffered *)
+let close_client client =
+  Mutex.lock client.omutex;
+  Atomic.set client.discard true;
+  Buffer.reset client.outbox;
+  Mutex.unlock client.omutex;
+  close_quietly client.fd
 
 let error_response msg =
   {
@@ -159,7 +193,7 @@ let protocol_error journal client counters msg =
   (match journal with
   | Some j -> Journal.emit j "daemon.protocol_error" [ ("error", Json.str msg) ]
   | None -> ());
-  push_out client (Protocol.response_to_string (error_response msg))
+  push_out client (error_response msg)
 
 let handle_line router ops journal client counters line =
   if String.trim line = "" then ()
@@ -179,17 +213,13 @@ let handle_line router ops journal client counters line =
               | _ -> ops.health ~domain
             in
             push_out client
-              (Protocol.response_to_string
-                 {
-                   Protocol.rid = req.Protocol.id;
-                   rbody = body;
-                   queue_wait_us = 0.0;
-                   execute_us = 0.0;
-                 })
-        | _ ->
-            ignore
-              (Router.submit_async router req ~on_done:(fun resp ->
-                   push_out client (Protocol.response_to_string resp))))
+              {
+                Protocol.rid = req.Protocol.id;
+                rbody = body;
+                queue_wait_us = 0.0;
+                execute_us = 0.0;
+              }
+        | _ -> ignore (Router.submit_async router req ~on_done:(push_out client)))
   end
 
 let reject_long_line journal client counters =
@@ -226,8 +256,6 @@ let handle_readable router ops journal client counters =
       consume 0
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   | exception Unix.Unix_error (_, _, _) -> client.alive <- false
-
-let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 let select readfds writefds timeout =
   try
@@ -305,6 +333,7 @@ let run ~socket ?tcp_port ?on_tcp_listen ~router ?ops ?journal ?pref_store () =
   let connections = ref 0 in
   let requests = ref 0 in
   let protocol_errors = ref 0 in
+  let outbox_overflows = ref 0 in
   let counters = (requests, protocol_errors) in
   (* with the self-pipe carrying completion and stop wake-ups, the select
      timeout only bounds the journal/pref-store flush cadence — so an
@@ -321,9 +350,11 @@ let run ~socket ?tcp_port ?on_tcp_listen ~router ?ops ?journal ?pref_store () =
           {
             fd;
             line = Buffer.create 256;
-            outbox = Queue.create ();
             omutex = Mutex.create ();
-            outbuf = "";
+            outbox = Buffer.create 256;
+            discard = Atomic.make false;
+            sending = "";
+            sent = 0;
             closing = false;
             alive = true;
           }
@@ -339,7 +370,7 @@ let run ~socket ?tcp_port ?on_tcp_listen ~router ?ops ?journal ?pref_store () =
     in
     let writefds =
       List.filter_map
-        (fun c -> if refill_outbuf c then Some c.fd else None)
+        (fun c -> if refill c then Some c.fd else None)
         !clients
     in
     let readable, writable = select readfds writefds idle_timeout in
@@ -356,10 +387,18 @@ let run ~socket ?tcp_port ?on_tcp_listen ~router ?ops ?journal ?pref_store () =
       (fun c -> if c.alive && List.mem c.fd writable then flush_client c)
       !clients;
     List.iter
-      (fun c -> if c.closing && not (refill_outbuf c) then c.alive <- false)
+      (fun c -> if c.closing && not (refill c) then c.alive <- false)
+      !clients;
+    List.iter
+      (fun c ->
+        if c.alive && Atomic.get c.discard then begin
+          c.alive <- false;
+          Metrics.incr outbox_overflows_c;
+          incr outbox_overflows
+        end)
       !clients;
     let dead, live = List.partition (fun c -> not c.alive) !clients in
-    List.iter (fun c -> close_quietly c.fd) dead;
+    List.iter close_client dead;
     clients := live;
     (* drain worker-domain journal emissions and harvested preference
        pairs once per turn *)
@@ -404,7 +443,7 @@ let run ~socket ?tcp_port ?on_tcp_listen ~router ?ops ?journal ?pref_store () =
   Router.drain router;
   let flush_deadline = Unix.gettimeofday () +. 5.0 in
   let rec flush_all () =
-    let with_output = List.filter (fun c -> c.alive && refill_outbuf c) !clients in
+    let with_output = List.filter (fun c -> c.alive && refill c) !clients in
     if with_output <> [] && Unix.gettimeofday () < flush_deadline then begin
       let _, writable =
         select [] (List.map (fun c -> c.fd) with_output) 0.05
@@ -416,7 +455,7 @@ let run ~socket ?tcp_port ?on_tcp_listen ~router ?ops ?journal ?pref_store () =
     end
   in
   flush_all ();
-  List.iter (fun c -> close_quietly c.fd) !clients;
+  List.iter close_client !clients;
   if Sys.file_exists socket then Sys.remove socket;
   (match pref_store with
   | Some s -> Dpoaf_refine.Pref_store.flush s
@@ -432,4 +471,5 @@ let run ~socket ?tcp_port ?on_tcp_listen ~router ?ops ?journal ?pref_store () =
     requests = !requests;
     responses = Atomic.get responses_sent;
     protocol_errors = !protocol_errors;
+    outbox_overflows = !outbox_overflows;
   }

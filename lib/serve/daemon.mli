@@ -4,7 +4,7 @@
     A single [Unix.select] event loop accepts connections (from either
     transport) and reads one {!Protocol} request per line; execution
     happens on the {!Router}'s replica servers, whose completion
-    callbacks enqueue the response line on the owning connection's outbox
+    callbacks encode the response line into the owning connection's outbox
     and write a byte down a self-pipe so the loop wakes immediately.
     Because completions and {!request_stop} wake the loop themselves, the
     select timeout is adaptive: an idle daemon blocks for 0.25 s (when a
@@ -16,7 +16,10 @@
     Malformed lines are answered with a [status="error"] response (empty
     id) and counted in [serve.protocol_errors] — the connection stays
     usable.  A line longer than {!max_line_bytes} is answered the same
-    way, and then that connection is closed.
+    way, and then that connection is closed.  Responses are encoded
+    straight into the connection's outbox; a partial write advances an
+    offset into the batch being written, and a connection that leaves
+    more than {!max_outbox_bytes} unread is closed.
 
     The ops verbs ([stats]/[health]) are answered synchronously from the
     event loop, ahead of every shard's admission queue: a daemon whose
@@ -40,11 +43,20 @@ type stats = {
   requests : int;  (** non-blank lines received (including malformed) *)
   responses : int;  (** response lines enqueued for writing *)
   protocol_errors : int;  (** lines that failed to parse as requests *)
+  outbox_overflows : int;
+      (** connections closed because they left more than
+          {!max_outbox_bytes} of responses unread *)
 }
 
 val max_line_bytes : int
 (** The longest request line a connection may send (1 MiB), newline
     excluded. *)
+
+val max_outbox_bytes : int
+(** The most response bytes a connection may leave queued and unread
+    (4 MiB), besides the batch the loop is writing.  A connection past it
+    is closed, its later responses are dropped, and it is counted in
+    [serve.outbox_overflows] and {!stats}[.outbox_overflows]. *)
 
 val run :
   socket:string ->

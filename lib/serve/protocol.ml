@@ -148,241 +148,213 @@ let status_of_body = function
 
 (* ---------------- encoding ---------------- *)
 
-let jstrs xs = Json.arr (List.map Json.str xs)
-let jints xs = Json.arr (List.map (fun i -> Json.num (float_of_int i)) xs)
-
 let verified profile = Verified { profile; explanations = None }
 
-(* encoded only when present — an unset field keeps the response
-   byte-identical to the pre-explanation encoding; repair rounds carry
-   theirs under "feedback" instead of "explanations" *)
-let jexplanations ?(name = "explanations") = function
-  | None -> []
+(* Field by field into one buffer, no Json.t tree, members in the order the
+   goldens pin.  Optional members are written only when present, so
+   untagged traffic stays byte-identical to the older wire: domain,
+   scenario, explain, budget, deadline, explanations, deadline_hit and
+   shards all appeared after the first version of the protocol.
+   [m_* b k v] writes one member ["k":v] of the object open in [b];
+   [write_* b v] writes a value. *)
+
+let m_str b k v =
+  Json.write_key b k;
+  Json.write_string b v
+
+let m_int b k v =
+  Json.write_key b k;
+  Json.write_int b v
+
+let m_num b k v =
+  Json.write_key b k;
+  Json.write_float b v
+
+let m_bool b k v =
+  Json.write_key b k;
+  Json.write_bool b v
+
+let m_strs b k xs =
+  Json.write_key b k;
+  Json.write_list Json.write_string b xs
+
+let m_opt m b k = function None -> () | Some v -> m b k v
+
+(* a member whose value is an object written by [f] *)
+let m_obj b k f =
+  Json.write_key b k;
+  Buffer.add_char b '{';
+  f ();
+  Buffer.add_char b '}'
+
+let m_profile b k p =
+  m_obj b k (fun () ->
+      m_int b "score" p.score;
+      m_strs b "satisfied" p.satisfied;
+      m_strs b "violated" p.violated;
+      m_strs b "vacuous" p.vacuous)
+
+let write_explanation b e =
+  Buffer.add_char b '{';
+  m_str b "spec" e.espec;
+  m_str b "text" e.etext;
+  Buffer.add_char b '}'
+
+(* repair rounds carry theirs under "feedback" instead *)
+let m_explanations ?(name = "explanations") b = function
+  | None -> ()
   | Some es ->
-      [
-        ( name,
-          Json.arr
-            (List.map
-               (fun e ->
-                 Json.obj
-                   [ ("spec", Json.str e.espec); ("text", Json.str e.etext) ])
-               es) );
-      ]
+      Json.write_key b name;
+      Json.write_list write_explanation b es
 
-let json_of_profile p =
-  Json.obj
-    [
-      ("score", Json.num (float_of_int p.score));
-      ("satisfied", jstrs p.satisfied);
-      ("violated", jstrs p.violated);
-      ("vacuous", jstrs p.vacuous);
-    ]
+(* every kind's optional tail: scenario, domain, explain *)
+let m_tags b ~scenario ~domain ~explain =
+  m_opt m_str b "scenario" scenario;
+  m_opt m_str b "domain" domain;
+  if explain then m_bool b "explain" true
 
-let json_of_request r =
-  let base =
-    (* optional fields are encoded only when present, so single-domain
-       requests stay byte-identical to the pre-domain protocol *)
-    let jdomain = function
-      | None -> []
-      | Some d -> [ ("domain", Json.str d) ]
-    in
-    match r.kind with
-    | Generate { task; seed; temperature; domain } ->
-        [
-          ("kind", Json.str "generate");
-          ("task", Json.str task);
-          ("seed", Json.num (float_of_int seed));
-          ("temperature", Json.num temperature);
-        ]
-        @ jdomain domain
-    | Verify { steps; scenario; domain; explain } ->
-        ("kind", Json.str "verify")
-        :: ("steps", jstrs steps)
-        :: ((match scenario with
-            | None -> []
-            | Some s -> [ ("scenario", Json.str s) ])
-           @ jdomain domain
-           @ if explain then [ ("explain", Json.Bool true) ] else [])
-    | Score_pair { steps_a; steps_b; scenario; domain; explain } ->
-        ("kind", Json.str "score_pair")
-        :: ("steps_a", jstrs steps_a)
-        :: ("steps_b", jstrs steps_b)
-        :: ((match scenario with
-            | None -> []
-            | Some s -> [ ("scenario", Json.str s) ])
-           @ jdomain domain
-           @ if explain then [ ("explain", Json.Bool true) ] else [])
-    | Refine { task; steps; seed; scenario; domain; explain; max_rounds; attempts }
-      ->
-        (* the budget object appears only when some bound was set, so a
-           default-budget request carries no "budget" member at all *)
-        let budget =
-          let members =
-            (match max_rounds with
-            | None -> []
-            | Some n -> [ ("max_rounds", Json.num (float_of_int n)) ])
-            @
-            match attempts with
-            | None -> []
-            | Some n -> [ ("attempts", Json.num (float_of_int n)) ]
-          in
-          match members with [] -> [] | ms -> [ ("budget", Json.obj ms) ]
-        in
-        ("kind", Json.str "refine")
-        :: ("task", Json.str task)
-        :: ("steps", jstrs steps)
-        :: ("seed", Json.num (float_of_int seed))
-        :: ((match scenario with
-            | None -> []
-            | Some s -> [ ("scenario", Json.str s) ])
-           @ jdomain domain
-           @ (if explain then [ ("explain", Json.Bool true) ] else [])
-           @ budget)
-    | Stats { domain } -> ("kind", Json.str "stats") :: jdomain domain
-    | Health { domain } -> ("kind", Json.str "health") :: jdomain domain
-  in
-  let deadline =
-    match r.deadline_ms with
-    | None -> []
-    | Some ms -> [ ("deadline_ms", Json.num ms) ]
-  in
-  Json.obj ((("id", Json.str r.id) :: base) @ deadline)
+let write_request b r =
+  Buffer.add_char b '{';
+  m_str b "id" r.id;
+  (match r.kind with
+  | Generate { task; seed; temperature; domain } ->
+      m_str b "kind" "generate";
+      m_str b "task" task;
+      m_int b "seed" seed;
+      m_num b "temperature" temperature;
+      m_opt m_str b "domain" domain
+  | Verify { steps; scenario; domain; explain } ->
+      m_str b "kind" "verify";
+      m_strs b "steps" steps;
+      m_tags b ~scenario ~domain ~explain
+  | Score_pair { steps_a; steps_b; scenario; domain; explain } ->
+      m_str b "kind" "score_pair";
+      m_strs b "steps_a" steps_a;
+      m_strs b "steps_b" steps_b;
+      m_tags b ~scenario ~domain ~explain
+  | Refine { task; steps; seed; scenario; domain; explain; max_rounds; attempts }
+    ->
+      m_str b "kind" "refine";
+      m_str b "task" task;
+      m_strs b "steps" steps;
+      m_int b "seed" seed;
+      m_tags b ~scenario ~domain ~explain;
+      (* the budget object appears only when some bound was set *)
+      if max_rounds <> None || attempts <> None then
+        m_obj b "budget" (fun () ->
+            m_opt m_int b "max_rounds" max_rounds;
+            m_opt m_int b "attempts" attempts)
+  | Stats { domain } ->
+      m_str b "kind" "stats";
+      m_opt m_str b "domain" domain
+  | Health { domain } ->
+      m_str b "kind" "health";
+      m_opt m_str b "domain" domain);
+  m_opt m_num b "deadline_ms" r.deadline_ms;
+  Buffer.add_char b '}'
 
-let json_of_response r =
-  let payload =
-    match r.rbody with
-    | Generated { steps; tokens; profile } ->
-        [
-          ("steps", jstrs steps);
-          ("tokens", jints tokens);
-          ("profile", json_of_profile profile);
-        ]
-    | Verified { profile; explanations } ->
-        ("profile", json_of_profile profile) :: jexplanations explanations
-    | Compared
-        {
-          preference;
-          margin;
-          margin_specs;
-          vacuous_margin;
-          profile_a;
-          profile_b;
-          explanations;
-        } ->
-        [
-          ("preference", Json.str preference);
-          ("margin", Json.num (float_of_int margin));
-          ("margin_specs", jstrs margin_specs);
-          ("vacuous_margin", Json.Bool vacuous_margin);
-          ("profile_a", json_of_profile profile_a);
-          ("profile_b", json_of_profile profile_b);
-        ]
-        @ jexplanations explanations
-    | Refined
-        {
-          rstatus;
-          deadline_hit;
-          original_profile;
-          final_steps;
-          final_profile;
-          rounds;
-        } ->
-        let json_of_round r =
-          Json.obj
-            ([
-               ("round", Json.num (float_of_int r.rr_index));
-               ("violated", jstrs r.rr_violated);
-               ("accepted", Json.Bool r.rr_accepted);
-               ("margin", Json.num (float_of_int r.rr_margin));
-             ]
-            @ jexplanations ~name:"feedback" r.rr_feedback)
-        in
-        [
-          ( "refine",
-            Json.obj
-              ([ ("status", Json.str rstatus) ]
-              @ (if deadline_hit then [ ("deadline_hit", Json.Bool true) ]
-                 else [])
-              @ [
-                  ("original_profile", json_of_profile original_profile);
-                  ("final_steps", jstrs final_steps);
-                  ("final_profile", json_of_profile final_profile);
-                  ("rounds", Json.arr (List.map json_of_round rounds));
-                ]) );
-        ]
-    | Stats_report { metrics; histograms; runtime } ->
-        let nums kvs = Json.obj (List.map (fun (k, v) -> (k, Json.num v)) kvs) in
-        [
-          ( "stats",
-            Json.obj
-              [
-                ("metrics", nums metrics);
-                ( "histograms",
-                  Json.obj
-                    (List.map
-                       (fun (k, s) -> (k, Metrics.json_of_snapshot s))
-                       histograms) );
-                ("runtime", nums runtime);
-              ] );
-        ]
-    | Health_report { queue_depth; in_flight_batches; draining; domains; shards }
-      ->
-        (* [shards] is encoded only when non-empty, so an unsharded
-           daemon's health line is byte-identical to the pre-fleet wire *)
-        let jshards =
-          match shards with
-          | [] -> []
-          | _ ->
-              [
-                ( "shards",
-                  Json.arr
-                    (List.map
-                       (fun s ->
-                         Json.obj
-                           [
-                             ("shard", Json.str s.sh_shard);
-                             ( "queue_depth",
-                               Json.num (float_of_int s.sh_queue_depth) );
-                             ( "in_flight",
-                               Json.num (float_of_int s.sh_in_flight) );
-                             ( "requests",
-                               Json.num (float_of_int s.sh_requests) );
-                             ("draining", Json.Bool s.sh_draining);
-                           ])
-                       shards) );
-              ]
-        in
-        [
-          ( "health",
-            Json.obj
-              ([
-                 ("queue_depth", Json.num (float_of_int queue_depth));
-                 ( "in_flight_batches",
-                   Json.num (float_of_int in_flight_batches) );
-                 ("draining", Json.Bool draining);
-                 ( "domains",
-                   Json.obj
-                     (List.map
-                        (fun (d, n) -> (d, Json.num (float_of_int n)))
-                        domains) );
-               ]
-              @ jshards) );
-        ]
-    | Rejected reason -> [ ("reason", Json.str reason) ]
-    | Expired -> []
-    | Failed msg -> [ ("error", Json.str msg) ]
-  in
-  Json.obj
-    ([
-       ("id", Json.str r.rid);
-       ("status", Json.str (status_of_body r.rbody));
-       ("queue_wait_us", Json.num r.queue_wait_us);
-       ("execute_us", Json.num r.execute_us);
-     ]
-    @ payload)
+let write_round b r =
+  Buffer.add_char b '{';
+  m_int b "round" r.rr_index;
+  m_strs b "violated" r.rr_violated;
+  m_bool b "accepted" r.rr_accepted;
+  m_int b "margin" r.rr_margin;
+  m_explanations ~name:"feedback" b r.rr_feedback;
+  Buffer.add_char b '}'
 
-let request_to_string r = Json.to_string (json_of_request r)
-let response_to_string r = Json.to_string (json_of_response r)
+let write_shard b s =
+  Buffer.add_char b '{';
+  m_str b "shard" s.sh_shard;
+  m_int b "queue_depth" s.sh_queue_depth;
+  m_int b "in_flight" s.sh_in_flight;
+  m_int b "requests" s.sh_requests;
+  m_bool b "draining" s.sh_draining;
+  Buffer.add_char b '}'
+
+(* an object of named values, each written as a member by [m] *)
+let m_assoc m b k kvs = m_obj b k (fun () -> List.iter (fun (k, v) -> m b k v) kvs)
+
+let write_response b r =
+  Buffer.add_char b '{';
+  m_str b "id" r.rid;
+  m_str b "status" (status_of_body r.rbody);
+  m_num b "queue_wait_us" r.queue_wait_us;
+  m_num b "execute_us" r.execute_us;
+  (match r.rbody with
+  | Generated { steps; tokens; profile } ->
+      m_strs b "steps" steps;
+      Json.write_key b "tokens";
+      Json.write_list Json.write_int b tokens;
+      m_profile b "profile" profile
+  | Verified { profile; explanations } ->
+      m_profile b "profile" profile;
+      m_explanations b explanations
+  | Compared
+      {
+        preference;
+        margin;
+        margin_specs;
+        vacuous_margin;
+        profile_a;
+        profile_b;
+        explanations;
+      } ->
+      m_str b "preference" preference;
+      m_int b "margin" margin;
+      m_strs b "margin_specs" margin_specs;
+      m_bool b "vacuous_margin" vacuous_margin;
+      m_profile b "profile_a" profile_a;
+      m_profile b "profile_b" profile_b;
+      m_explanations b explanations
+  | Refined
+      { rstatus; deadline_hit; original_profile; final_steps; final_profile; rounds }
+    ->
+      m_obj b "refine" (fun () ->
+          m_str b "status" rstatus;
+          if deadline_hit then m_bool b "deadline_hit" true;
+          m_profile b "original_profile" original_profile;
+          m_strs b "final_steps" final_steps;
+          m_profile b "final_profile" final_profile;
+          Json.write_key b "rounds";
+          Json.write_list write_round b rounds)
+  | Stats_report { metrics; histograms; runtime } ->
+      m_obj b "stats" (fun () ->
+          m_assoc m_num b "metrics" metrics;
+          m_assoc
+            (fun b k s ->
+              Json.write_key b k;
+              Json.write b (Metrics.json_of_snapshot s))
+            b "histograms" histograms;
+          m_assoc m_num b "runtime" runtime)
+  | Health_report { queue_depth; in_flight_batches; draining; domains; shards } ->
+      m_obj b "health" (fun () ->
+          m_int b "queue_depth" queue_depth;
+          m_int b "in_flight_batches" in_flight_batches;
+          m_bool b "draining" draining;
+          m_assoc m_int b "domains" domains;
+          (* encoded only when sharded, so an unsharded daemon's health
+             line is byte-identical to the pre-fleet wire *)
+          if shards <> [] then begin
+            Json.write_key b "shards";
+            Json.write_list write_shard b shards
+          end)
+  | Rejected reason -> m_str b "reason" reason
+  | Expired -> ()
+  | Failed msg -> m_str b "error" msg);
+  Buffer.add_char b '}'
+
+(* one scratch buffer per domain, kept at the longest line it has
+   written: a line then costs only its final string *)
+let scratch = Domain.DLS.new_key (fun () -> Buffer.create 4096)
+
+let to_string write x =
+  let b = Domain.DLS.get scratch in
+  Buffer.clear b;
+  write b x;
+  Buffer.contents b
+
+let request_to_string r = to_string write_request r
+let response_to_string r = to_string write_response r
 
 (* ---------------- decoding ---------------- *)
 
@@ -405,20 +377,50 @@ let num_field name j =
   | Some f -> Ok f
   | None -> Error (Printf.sprintf "field %S must be a number" name)
 
-let str_list_field name j =
+let bool_field name j =
+  let* v = field name j in
+  match v with
+  | Json.Bool b -> Ok b
+  | _ -> Error (Printf.sprintf "field %S must be a boolean" name)
+
+(* [f] over every item, stopping at the first error *)
+let map_all f xs =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: rest -> (
+        match f x with Ok y -> go (y :: acc) rest | Error msg -> Error msg)
+  in
+  go [] xs
+
+let array_field name j =
   let* v = field name j in
   match Json.to_list v with
+  | Some items -> Ok items
   | None -> Error (Printf.sprintf "field %S must be an array" name)
-  | Some items ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | x :: rest -> (
-            match Json.to_str x with
-            | Some s -> go (s :: acc) rest
-            | None ->
-                Error (Printf.sprintf "field %S must contain only strings" name))
-      in
-      go [] items
+
+(* an absent or null array is [None] *)
+let opt_array_field name j f =
+  match Json.member name j with
+  | None | Some Json.Null -> Ok None
+  | Some _ ->
+      let* items = array_field name j in
+      Result.map Option.some (map_all f items)
+
+(* an object mapping names to values, each read by [f] *)
+let object_field name j f =
+  let* v = field name j in
+  match v with
+  | Json.Obj kvs -> map_all (fun (k, x) -> Result.map (fun y -> (k, y)) (f k x)) kvs
+  | _ -> Error (Printf.sprintf "field %S must be an object" name)
+
+let str_list_field name j =
+  let* items = array_field name j in
+  map_all
+    (fun x ->
+      match Json.to_str x with
+      | Some s -> Ok s
+      | None -> Error (Printf.sprintf "field %S must contain only strings" name))
+    items
 
 let opt_str_field name j =
   match Json.member name j with
@@ -436,6 +438,20 @@ let opt_num_field name j =
       | Some f -> Ok (Some f)
       | None -> Error (Printf.sprintf "field %S must be a number" name))
 
+let as_int name f =
+  if Json.is_int f then Ok (int_of_float f)
+  else Error (Printf.sprintf "field %S must be an integer" name)
+
+let int_field name j =
+  let* f = num_field name j in
+  as_int name f
+
+let opt_int_field name j =
+  let* f = opt_num_field name j in
+  match f with
+  | None -> Ok None
+  | Some f -> Result.map Option.some (as_int name f)
+
 let opt_bool_field name j =
   match Json.member name j with
   | None | Some Json.Null -> Ok false
@@ -443,33 +459,29 @@ let opt_bool_field name j =
   | Some _ -> Error (Printf.sprintf "field %S must be a boolean" name)
 
 let int_list_field name j =
-  let* v = field name j in
-  match Json.to_list v with
-  | None -> Error (Printf.sprintf "field %S must be an array" name)
-  | Some items ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | x :: rest -> (
-            match Json.to_float x with
-            | Some f -> go (int_of_float f :: acc) rest
-            | None ->
-                Error (Printf.sprintf "field %S must contain only numbers" name))
-      in
-      go [] items
+  let* items = array_field name j in
+  map_all
+    (fun x ->
+      match Json.to_float x with
+      | Some f when Json.is_int f -> Ok (int_of_float f)
+      | Some _ ->
+          Error (Printf.sprintf "field %S must contain only integers" name)
+      | None -> Error (Printf.sprintf "field %S must contain only numbers" name))
+    items
 
 let kind_of_json j =
   let* kind = str_field "kind" j in
   match kind with
   | "generate" ->
       let* task = str_field "task" j in
-      let* seed = opt_num_field "seed" j in
+      let* seed = opt_int_field "seed" j in
       let* temperature = opt_num_field "temperature" j in
       let* domain = opt_str_field "domain" j in
       Ok
         (Generate
            {
              task;
-             seed = (match seed with Some s -> int_of_float s | None -> 0);
+             seed = Option.value ~default:0 seed;
              temperature = Option.value ~default:1.0 temperature;
              domain;
            })
@@ -489,7 +501,7 @@ let kind_of_json j =
   | "refine" ->
       let* task = str_field "task" j in
       let* steps = str_list_field "steps" j in
-      let* seed = opt_num_field "seed" j in
+      let* seed = opt_int_field "seed" j in
       let* scenario = opt_str_field "scenario" j in
       let* domain = opt_str_field "domain" j in
       let* explain = opt_bool_field "explain" j in
@@ -498,12 +510,11 @@ let kind_of_json j =
         | None | Some Json.Null -> Ok (None, None)
         | Some (Json.Obj _ as b) ->
             let bound name =
-              let* v = opt_num_field name b in
+              let* v = opt_int_field name b in
               match v with
-              | None -> Ok None
-              | Some f when f >= 1.0 -> Ok (Some (int_of_float f))
-              | Some _ ->
+              | Some n when n < 1 ->
                   Error (Printf.sprintf "budget field %S must be >= 1" name)
+              | v -> Ok v
             in
             let* max_rounds = bound "max_rounds" in
             let* attempts = bound "attempts" in
@@ -515,7 +526,7 @@ let kind_of_json j =
            {
              task;
              steps;
-             seed = (match seed with Some s -> int_of_float s | None -> 0);
+             seed = Option.value ~default:0 seed;
              scenario;
              domain;
              explain;
@@ -550,59 +561,35 @@ let request_of_string line =
   | Ok j -> request_of_json j
 
 let profile_of_json j =
-  let* score = num_field "score" j in
+  let* score = int_field "score" j in
   let* satisfied = str_list_field "satisfied" j in
   let* violated = str_list_field "violated" j in
   let* vacuous = str_list_field "vacuous" j in
-  Ok { score = int_of_float score; satisfied; violated; vacuous }
+  Ok { score; satisfied; violated; vacuous }
+
+let profile_field name j =
+  let* p = field name j in
+  profile_of_json p
 
 let explanations_of_json ?(name = "explanations") j =
-  match Json.member name j with
-  | None | Some Json.Null -> Ok None
-  | Some v -> (
-      match Json.to_list v with
-      | None -> Error (Printf.sprintf "field %S must be an array" name)
-      | Some items ->
-          let rec go acc = function
-            | [] -> Ok (Some (List.rev acc))
-            | x :: rest ->
-                let* espec = str_field "spec" x in
-                let* etext = str_field "text" x in
-                go ({ espec; etext } :: acc) rest
-          in
-          go [] items)
+  opt_array_field name j (fun x ->
+      let* espec = str_field "spec" x in
+      let* etext = str_field "text" x in
+      Ok { espec; etext })
 
 let num_assoc_field name j =
-  let* v = field name j in
-  match v with
-  | Json.Obj kvs ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | (k, x) :: rest -> (
-            match Json.to_float x with
-            | Some f -> go ((k, f) :: acc) rest
-            | None ->
-                Error
-                  (Printf.sprintf "field %S must map names to numbers" name))
-      in
-      go [] kvs
-  | _ -> Error (Printf.sprintf "field %S must be an object" name)
+  object_field name j (fun _ x ->
+      match Json.to_float x with
+      | Some f -> Ok f
+      | None -> Error (Printf.sprintf "field %S must map names to numbers" name))
 
 let stats_report_of_json j =
   let* metrics = num_assoc_field "metrics" j in
-  let* hs = field "histograms" j in
   let* histograms =
-    match hs with
-    | Json.Obj kvs ->
-        let rec go acc = function
-          | [] -> Ok (List.rev acc)
-          | (k, x) :: rest -> (
-              match Metrics.snapshot_of_json x with
-              | Ok s -> go ((k, s) :: acc) rest
-              | Error msg -> Error (Printf.sprintf "histogram %S: %s" k msg))
-        in
-        go [] kvs
-    | _ -> Error "field \"histograms\" must be an object"
+    object_field "histograms" j (fun k x ->
+        Result.map_error
+          (Printf.sprintf "histogram %S: %s" k)
+          (Metrics.snapshot_of_json x))
   in
   let* runtime = num_assoc_field "runtime" j in
   Ok (Stats_report { metrics; histograms; runtime })
@@ -610,41 +597,20 @@ let stats_report_of_json j =
 let refined_of_json j =
   let* rstatus = str_field "status" j in
   let* deadline_hit = opt_bool_field "deadline_hit" j in
-  let* op = field "original_profile" j in
-  let* original_profile = profile_of_json op in
+  let* original_profile = profile_field "original_profile" j in
   let* final_steps = str_list_field "final_steps" j in
-  let* fp = field "final_profile" j in
-  let* final_profile = profile_of_json fp in
-  let* rs = field "rounds" j in
+  let* final_profile = profile_field "final_profile" j in
+  let* rounds = array_field "rounds" j in
   let* rounds =
-    match Json.to_list rs with
-    | None -> Error "field \"rounds\" must be an array"
-    | Some items ->
-        let rec go acc = function
-          | [] -> Ok (List.rev acc)
-          | x :: rest ->
-              let* index = num_field "round" x in
-              let* rr_violated = str_list_field "violated" x in
-              let* a = field "accepted" x in
-              let* rr_accepted =
-                match a with
-                | Json.Bool b -> Ok b
-                | _ -> Error "field \"accepted\" must be a boolean"
-              in
-              let* margin = num_field "margin" x in
-              let* rr_feedback = explanations_of_json ~name:"feedback" x in
-              go
-                ({
-                   rr_index = int_of_float index;
-                   rr_violated;
-                   rr_accepted;
-                   rr_margin = int_of_float margin;
-                   rr_feedback;
-                 }
-                :: acc)
-                rest
-        in
-        go [] items
+    map_all
+      (fun x ->
+        let* rr_index = int_field "round" x in
+        let* rr_violated = str_list_field "violated" x in
+        let* rr_accepted = bool_field "accepted" x in
+        let* rr_margin = int_field "margin" x in
+        let* rr_feedback = explanations_of_json ~name:"feedback" x in
+        Ok { rr_index; rr_violated; rr_accepted; rr_margin; rr_feedback })
+      rounds
   in
   Ok
     (Refined
@@ -659,52 +625,32 @@ let refined_of_json j =
 
 let shard_health_of_json j =
   let* sh_shard = str_field "shard" j in
-  let* qd = num_field "queue_depth" j in
-  let* infl = num_field "in_flight" j in
-  let* reqs = num_field "requests" j in
+  let* sh_queue_depth = int_field "queue_depth" j in
+  let* sh_in_flight = int_field "in_flight" j in
+  let* sh_requests = int_field "requests" j in
   let* sh_draining = opt_bool_field "draining" j in
-  Ok
-    {
-      sh_shard;
-      sh_queue_depth = int_of_float qd;
-      sh_in_flight = int_of_float infl;
-      sh_requests = int_of_float reqs;
-      sh_draining;
-    }
+  Ok { sh_shard; sh_queue_depth; sh_in_flight; sh_requests; sh_draining }
 
 let health_report_of_json j =
-  let* queue_depth = num_field "queue_depth" j in
-  let* in_flight = num_field "in_flight_batches" j in
-  let* d = field "draining" j in
-  let* draining =
-    match d with
-    | Json.Bool b -> Ok b
-    | _ -> Error "field \"draining\" must be a boolean"
+  let* queue_depth = int_field "queue_depth" j in
+  let* in_flight_batches = int_field "in_flight_batches" j in
+  let* draining = bool_field "draining" j in
+  let* domains =
+    object_field "domains" j (fun _ x ->
+        match Json.to_float x with
+        | Some f when Json.is_int f -> Ok (int_of_float f)
+        | Some _ -> Error "field \"domains\" must map names to integers"
+        | None -> Error "field \"domains\" must map names to numbers")
   in
-  let* domains = num_assoc_field "domains" j in
-  let* shards =
-    match Json.member "shards" j with
-    | None | Some Json.Null -> Ok []
-    | Some v -> (
-        match Json.to_list v with
-        | None -> Error "field \"shards\" must be an array"
-        | Some items ->
-            let rec go acc = function
-              | [] -> Ok (List.rev acc)
-              | x :: rest ->
-                  let* s = shard_health_of_json x in
-                  go (s :: acc) rest
-            in
-            go [] items)
-  in
+  let* shards = opt_array_field "shards" j shard_health_of_json in
   Ok
     (Health_report
        {
-         queue_depth = int_of_float queue_depth;
-         in_flight_batches = int_of_float in_flight;
+         queue_depth;
+         in_flight_batches;
          draining;
-         domains = List.map (fun (k, v) -> (k, int_of_float v)) domains;
-         shards;
+         domains;
+         shards = Option.value ~default:[] shards;
        })
 
 let body_of_json status j =
@@ -722,24 +668,17 @@ let body_of_json status j =
       match (Json.member "preference" j, Json.member "tokens" j) with
       | Some _, _ ->
           let* preference = str_field "preference" j in
-          let* margin = num_field "margin" j in
+          let* margin = int_field "margin" j in
           let* margin_specs = str_list_field "margin_specs" j in
-          let* vm = field "vacuous_margin" j in
-          let* vacuous_margin =
-            match vm with
-            | Json.Bool b -> Ok b
-            | _ -> Error "field \"vacuous_margin\" must be a boolean"
-          in
-          let* pa = field "profile_a" j in
-          let* profile_a = profile_of_json pa in
-          let* pb = field "profile_b" j in
-          let* profile_b = profile_of_json pb in
+          let* vacuous_margin = bool_field "vacuous_margin" j in
+          let* profile_a = profile_field "profile_a" j in
+          let* profile_b = profile_field "profile_b" j in
           let* explanations = explanations_of_json j in
           Ok
             (Compared
                {
                  preference;
-                 margin = int_of_float margin;
+                 margin;
                  margin_specs;
                  vacuous_margin;
                  profile_a;
@@ -749,12 +688,10 @@ let body_of_json status j =
       | None, Some _ ->
           let* steps = str_list_field "steps" j in
           let* tokens = int_list_field "tokens" j in
-          let* p = field "profile" j in
-          let* profile = profile_of_json p in
+          let* profile = profile_field "profile" j in
           Ok (Generated { steps; tokens; profile })
       | None, None ->
-          let* p = field "profile" j in
-          let* profile = profile_of_json p in
+          let* profile = profile_field "profile" j in
           let* explanations = explanations_of_json j in
           Ok (Verified { profile; explanations })))
   | "rejected" ->

@@ -199,3 +199,8 @@ val request_to_string : request -> string
 val request_of_string : string -> (request, string) result
 val response_to_string : response -> string
 val response_of_string : string -> (response, string) result
+
+val write_response : Buffer.t -> response -> unit
+(** Append the bytes of {!response_to_string} to a buffer, with no
+    intermediate string: what the daemon encodes each connection's
+    outbox with. *)

@@ -11,59 +11,110 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
-(* ---------------- printing ---------------- *)
+(* ---------------- writing ---------------- *)
 
-let escape b s =
-  String.iter
-    (fun c ->
-      match c with
+(* Everything is appended straight into one [Buffer]: [write] renders a
+   tree, and the [write_*] primitives let a codec emit a fixed record
+   shape field by field without building one. *)
+
+(* the C primitive that [Printf]'s [%g] ends in (as [string_of_float]
+   does), without interpreting a format at every call *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let hex = "0123456789abcdef"
+
+(* clean runs are copied whole; only quote, backslash and control bytes
+   are escaped, so UTF-8 passes through untouched *)
+let write_string b s =
+  Buffer.add_char b '"';
+  let n = String.length s in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring b s !start (i - !start);
+      (match c with
       | '"' -> Buffer.add_string b "\\\""
       | '\\' -> Buffer.add_string b "\\\\"
       | '\n' -> Buffer.add_string b "\\n"
       | '\r' -> Buffer.add_string b "\\r"
       | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
+      | c ->
+          Buffer.add_string b "\\u00";
+          Buffer.add_char b hex.[Char.code c lsr 4];
+          Buffer.add_char b hex.[Char.code c land 15]);
+      start := i + 1
+    end
+  done;
+  Buffer.add_substring b s !start (n - !start);
+  Buffer.add_char b '"'
 
-let add_num b v =
+(* decimal digits of [n <= 0], most significant first: counting on the
+   negative side covers [min_int] too *)
+let rec add_neg_digits b n =
+  if n <= -10 then add_neg_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
+
+let write_float b v =
   if Float.is_nan v || Float.abs v = Float.infinity then
     Buffer.add_string b "null"
-  else if Float.is_integer v && Float.abs v < 1e15 then
-    Buffer.add_string b (Printf.sprintf "%.0f" v)
+  else if Float.is_integer v && Float.abs v < 1e15 then begin
+    (* exact as an int below 1e15; the sign bit keeps "-0" *)
+    if Float.sign_bit v then Buffer.add_char b '-';
+    add_neg_digits b (- Float.to_int (Float.abs v))
+  end
   else
     (* shortest representation that round-trips the exact value — %g with
        a fixed low precision would truncate µs-scale timestamps *)
-    let s = Printf.sprintf "%.15g" v in
-    let s = if float_of_string s = v then s else Printf.sprintf "%.17g" v in
+    let s = format_float "%.15g" v in
+    let s = if float_of_string s = v then s else format_float "%.17g" v in
     Buffer.add_string b s
+
+(* the same bytes as [write_float (float_of_int n)] *)
+let write_int b n =
+  if n > -1_000_000_000_000_000 && n < 1_000_000_000_000_000 then begin
+    if n < 0 then Buffer.add_char b '-';
+    add_neg_digits b (if n < 0 then n else -n)
+  end
+  else write_float b (float_of_int n)
+
+let write_bool b v = Buffer.add_string b (if v then "true" else "false")
+
+(* a value never ends in '{' or '[', so the byte before tells whether a
+   member or element is the first of its container *)
+let write_sep b =
+  match Buffer.nth b (Buffer.length b - 1) with
+  | '{' | '[' -> ()
+  | _ -> Buffer.add_char b ','
+
+let write_key b k =
+  write_sep b;
+  write_string b k;
+  Buffer.add_char b ':'
+
+let rec write_elements f b = function
+  | [] -> ()
+  | x :: rest ->
+      write_sep b;
+      f b x;
+      write_elements f b rest
+
+let write_list f b xs =
+  Buffer.add_char b '[';
+  write_elements f b xs;
+  Buffer.add_char b ']'
 
 let rec write b = function
   | Null -> Buffer.add_string b "null"
-  | Bool true -> Buffer.add_string b "true"
-  | Bool false -> Buffer.add_string b "false"
-  | Num v -> add_num b v
-  | Str s ->
-      Buffer.add_char b '"';
-      escape b s;
-      Buffer.add_char b '"'
-  | Arr xs ->
-      Buffer.add_char b '[';
-      List.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_char b ',';
-          write b x)
-        xs;
-      Buffer.add_char b ']'
+  | Bool v -> write_bool b v
+  | Num v -> write_float b v
+  | Str s -> write_string b s
+  | Arr xs -> write_list write b xs
   | Obj kvs ->
       Buffer.add_char b '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_char b '"';
-          escape b k;
-          Buffer.add_string b "\":";
+      List.iter
+        (fun (k, v) ->
+          write_key b k;
           write b v)
         kvs;
       Buffer.add_char b '}'
@@ -81,7 +132,9 @@ let parse_exn s =
   let n = String.length s in
   let pos = ref 0 in
   let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
+  (* '\000' past the end: no branch matches it, and the one place that
+     must tell the end from a NUL byte tests [!pos] *)
+  let peek () = if !pos < n then s.[!pos] else '\000' in
   let advance () = incr pos in
   let skip_ws () =
     while
@@ -91,21 +144,22 @@ let parse_exn s =
     done
   in
   let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %c" c)
+    if peek () = c then advance () else fail (Printf.sprintf "expected %c" c)
   in
   let literal word value =
     let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
+    let rec matches i = i = l || (s.[!pos + i] = word.[i] && matches (i + 1)) in
+    if !pos + l <= n && matches 0 then begin
       pos := !pos + l;
       value
     end
     else fail ("expected " ^ word)
   in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
+  (* the rest of a string that has escapes: [start] is just past the
+     opening quote, [!pos] at the first backslash (or the end of input) *)
+  let parse_escaped start =
+    let b = Buffer.create (!pos - start + 16) in
+    Buffer.add_substring b s start (!pos - start);
     let rec go () =
       if !pos >= n then fail "unterminated string";
       let c = s.[!pos] in
@@ -152,6 +206,19 @@ let parse_exn s =
     in
     go ()
   in
+  let parse_string () =
+    expect '"';
+    let start = !pos in
+    while !pos < n && s.[!pos] <> '"' && s.[!pos] <> '\\' do
+      advance ()
+    done;
+    if !pos < n && s.[!pos] = '"' then begin
+      (* no escape: the contents are one slice of the input *)
+      advance ();
+      String.sub s start (!pos - 1 - start)
+    end
+    else parse_escaped start
+  in
   let parse_number () =
     let start = !pos in
     let numchar c =
@@ -163,21 +230,22 @@ let parse_exn s =
       advance ()
     done;
     match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some v -> v
+    | Some v when Float.is_finite v -> v
+    | Some _ -> fail "number out of range"
     | None -> fail "bad number"
   in
   let rec parse_value () =
     skip_ws ();
+    if !pos >= n then fail "unexpected end of input";
     match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some '[' ->
+    | '"' -> Str (parse_string ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | '[' ->
         advance ();
         skip_ws ();
-        if peek () = Some ']' then begin
+        if peek () = ']' then begin
           advance ();
           Arr []
         end
@@ -186,20 +254,20 @@ let parse_exn s =
             let v = parse_value () in
             skip_ws ();
             match peek () with
-            | Some ',' ->
+            | ',' ->
                 advance ();
                 items (v :: acc)
-            | Some ']' ->
+            | ']' ->
                 advance ();
                 List.rev (v :: acc)
             | _ -> fail "expected , or ] in array"
           in
           Arr (items [])
         end
-    | Some '{' ->
+    | '{' ->
         advance ();
         skip_ws ();
-        if peek () = Some '}' then begin
+        if peek () = '}' then begin
           advance ();
           Obj []
         end
@@ -216,17 +284,17 @@ let parse_exn s =
             let kv = field () in
             skip_ws ();
             match peek () with
-            | Some ',' ->
+            | ',' ->
                 advance ();
                 fields (kv :: acc)
-            | Some '}' ->
+            | '}' ->
                 advance ();
                 List.rev (kv :: acc)
             | _ -> fail "expected , or } in object"
           in
           Obj (fields [])
         end
-    | Some _ -> Num (parse_number ())
+    | _ -> Num (parse_number ())
   in
   let v = parse_value () in
   skip_ws ();
@@ -247,6 +315,10 @@ let member key = function
 let to_float = function Num v -> Some v | _ -> None
 let to_str = function Str s -> Some s | _ -> None
 let to_list = function Arr xs -> Some xs | _ -> None
+
+(* within 2^53 of zero every integer is exactly one float; beyond it, or
+   off an integer, [int_of_float] would round or wrap *)
+let is_int v = Float.is_integer v && Float.abs v <= 0x1p53
 
 let obj kvs = Obj kvs
 let str s = Str s

@@ -14,13 +14,18 @@ let body_testable =
 (* exact wire bytes, both directions: the daemon and external clients
    must agree on these strings forever *)
 
+(* every golden line these checks see, for the decoder fuzz below *)
+let golden_lines = ref []
+
 let check_request golden req =
+  golden_lines := golden :: !golden_lines;
   Alcotest.(check string) "encode" golden (P.request_to_string req);
   match P.request_of_string golden with
   | Error e -> Alcotest.fail ("decode: " ^ e)
   | Ok r -> Alcotest.(check bool) "decode equals value" true (r = req)
 
 let check_response golden resp =
+  golden_lines := golden :: !golden_lines;
   Alcotest.(check string) "encode" golden (P.response_to_string resp);
   match P.response_of_string golden with
   | Error e -> Alcotest.fail ("decode: " ^ e)
@@ -428,6 +433,659 @@ let test_protocol_strictness () =
   expect_error "non-positive budget bound"
     {|{"id":"x","kind":"refine","task":"t","steps":[],"seed":0,"budget":{"max_rounds":0}}|}
     ">= 1"
+
+(* strict integers: every integer field rejects a non-integral value and
+   one beyond 2^53, where [int_of_float] would round or wrap it *)
+let test_strict_integers () =
+  let expect what decode line needle =
+    match decode line with
+    | Ok _ -> Alcotest.failf "%s: expected a decode error" what
+    | Error msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s mentions %S (got %S)" what needle msg)
+          true (contains msg needle)
+  in
+  let request what line =
+    expect what (fun l -> Result.map ignore (P.request_of_string l)) line
+  and response what line =
+    expect what (fun l -> Result.map ignore (P.response_of_string l)) line
+  in
+  let head = {|"id":"x","status":"ok","queue_wait_us":0,"execute_us":0|} in
+  let profile score =
+    Printf.sprintf {|{"score":%s,"satisfied":[],"violated":[],"vacuous":[]}|}
+      score
+  in
+  request "generate seed" {|{"id":"x","kind":"generate","task":"t","seed":1.5}|}
+    {|field "seed" must be an integer|};
+  request "generate seed beyond 2^53"
+    {|{"id":"x","kind":"generate","task":"t","seed":1e300}|}
+    {|field "seed" must be an integer|};
+  request "refine seed"
+    {|{"id":"x","kind":"refine","task":"t","steps":[],"seed":-2.5}|}
+    {|field "seed" must be an integer|};
+  request "budget max_rounds"
+    {|{"id":"x","kind":"refine","task":"t","steps":[],"seed":0,"budget":{"max_rounds":1.5}}|}
+    {|field "max_rounds" must be an integer|};
+  request "budget attempts"
+    {|{"id":"x","kind":"refine","task":"t","steps":[],"seed":0,"budget":{"attempts":9007199254740994}}|}
+    {|field "attempts" must be an integer|};
+  response "profile score"
+    (Printf.sprintf {|{%s,"profile":%s}|} head (profile "2.5"))
+    {|field "score" must be an integer|};
+  response "generated tokens"
+    (Printf.sprintf {|{%s,"steps":[],"tokens":[1,2.5],"profile":%s}|} head
+       (profile "0"))
+    {|field "tokens" must contain only integers|};
+  response "compared margin"
+    (Printf.sprintf
+       {|{%s,"preference":"a","margin":0.5,"margin_specs":[],"vacuous_margin":false,"profile_a":%s,"profile_b":%s}|}
+       head (profile "0") (profile "0"))
+    {|field "margin" must be an integer|};
+  let refined round margin =
+    Printf.sprintf
+      {|{%s,"refine":{"status":"clean","original_profile":%s,"final_steps":[],"final_profile":%s,"rounds":[{"round":%s,"violated":[],"accepted":true,"margin":%s}]}}|}
+      head (profile "0") (profile "0") round margin
+  in
+  response "round index" (refined "1.5" "1") {|field "round" must be an integer|};
+  response "round margin" (refined "1" "1e16")
+    {|field "margin" must be an integer|};
+  let health ?(shard = "") queue_depth in_flight domain =
+    Printf.sprintf
+      {|{%s,"health":{"queue_depth":%s,"in_flight_batches":%s,"draining":false,"domains":{"driving":%s}%s}}|}
+      head queue_depth in_flight domain shard
+  in
+  response "health queue_depth" (health "0.5" "0" "0")
+    {|field "queue_depth" must be an integer|};
+  response "health in_flight_batches" (health "0" "-0.5" "0")
+    {|field "in_flight_batches" must be an integer|};
+  response "health domains" (health "0" "0" "3.25")
+    {|field "domains" must map names to integers|};
+  let shard q i r =
+    Printf.sprintf
+      {|,"shards":[{"shard":"shard0","queue_depth":%s,"in_flight":%s,"requests":%s,"draining":false}]|}
+      q i r
+  in
+  response "shard queue_depth" (health ~shard:(shard "0.5" "0" "0") "0" "0" "0")
+    {|field "queue_depth" must be an integer|};
+  response "shard in_flight" (health ~shard:(shard "0" "0.5" "0") "0" "0" "0")
+    {|field "in_flight" must be an integer|};
+  response "shard requests" (health ~shard:(shard "0" "0" "1e20") "0" "0" "0")
+    {|field "requests" must be an integer|};
+  let stats count bucket =
+    Printf.sprintf
+      {|{%s,"stats":{"metrics":{},"histograms":{"h":{"count":%s,"sum":1,"min":1,"max":1,"buckets":[[0.5,1,%s]]}},"runtime":{}}}|}
+      head count bucket
+  in
+  response "histogram count" (stats "1.5" "1")
+    {|histogram snapshot field "count" must be an integer|};
+  response "histogram bucket count" (stats "1" "0.5")
+    "bucket counts must be integers";
+  (* the bound itself is an integer; the goldens cover the small ones *)
+  match
+    P.request_of_string
+      {|{"id":"x","kind":"generate","task":"t","seed":9007199254740992}|}
+  with
+  | Ok { P.kind = P.Generate { seed; _ }; _ } ->
+      Alcotest.(check int) "2^53 decodes exactly" (1 lsl 53) seed
+  | _ -> Alcotest.fail "2^53 must decode as a seed"
+
+(* ---------------- encoder oracle ---------------- *)
+
+(* The tree encoder that the field-by-field writer replaced, kept as the
+   oracle: each value becomes a Json.t tree, printed by this module's own
+   copy of the old printer (Printf number formatting, escaping one
+   character at a time), so a fault in the writer cannot hide on both
+   sides. *)
+module Oracle = struct
+  module Json = Dpoaf_util.Json
+  open P
+
+  let escape b s =
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s
+
+  let add_num b v =
+    if Float.is_nan v || Float.abs v = Float.infinity then
+      Buffer.add_string b "null"
+    else if Float.is_integer v && Float.abs v < 1e15 then
+      Buffer.add_string b (Printf.sprintf "%.0f" v)
+    else
+      let s = Printf.sprintf "%.15g" v in
+      let s = if float_of_string s = v then s else Printf.sprintf "%.17g" v in
+      Buffer.add_string b s
+
+  let rec write b = function
+    | Json.Null -> Buffer.add_string b "null"
+    | Json.Bool true -> Buffer.add_string b "true"
+    | Json.Bool false -> Buffer.add_string b "false"
+    | Json.Num v -> add_num b v
+    | Json.Str s ->
+        Buffer.add_char b '"';
+        escape b s;
+        Buffer.add_char b '"'
+    | Json.Arr xs ->
+        Buffer.add_char b '[';
+        List.iteri
+          (fun i x ->
+            if i > 0 then Buffer.add_char b ',';
+            write b x)
+          xs;
+        Buffer.add_char b ']'
+    | Json.Obj kvs ->
+        Buffer.add_char b '{';
+        List.iteri
+          (fun i (k, v) ->
+            if i > 0 then Buffer.add_char b ',';
+            Buffer.add_char b '"';
+            escape b k;
+            Buffer.add_string b "\":";
+            write b v)
+          kvs;
+        Buffer.add_char b '}'
+
+  let to_string v =
+    let b = Buffer.create 256 in
+    write b v;
+    Buffer.contents b
+
+  let jstrs xs = Json.arr (List.map Json.str xs)
+  let jint i = Json.num (float_of_int i)
+  let jints xs = Json.arr (List.map jint xs)
+
+  let jexplanations ?(name = "explanations") = function
+    | None -> []
+    | Some es ->
+        [
+          ( name,
+            Json.arr
+              (List.map
+                 (fun e ->
+                   Json.obj
+                     [ ("spec", Json.str e.espec); ("text", Json.str e.etext) ])
+                 es) );
+        ]
+
+  let json_of_profile p =
+    Json.obj
+      [
+        ("score", jint p.score);
+        ("satisfied", jstrs p.satisfied);
+        ("violated", jstrs p.violated);
+        ("vacuous", jstrs p.vacuous);
+      ]
+
+  let opt name f = function None -> [] | Some v -> [ (name, f v) ]
+  let flag name v = if v then [ (name, Json.Bool true) ] else []
+
+  let json_of_request r =
+    let base =
+      match r.kind with
+      | Generate { task; seed; temperature; domain } ->
+          [
+            ("kind", Json.str "generate");
+            ("task", Json.str task);
+            ("seed", jint seed);
+            ("temperature", Json.num temperature);
+          ]
+          @ opt "domain" Json.str domain
+      | Verify { steps; scenario; domain; explain } ->
+          ("kind", Json.str "verify")
+          :: ("steps", jstrs steps)
+          :: (opt "scenario" Json.str scenario
+             @ opt "domain" Json.str domain
+             @ flag "explain" explain)
+      | Score_pair { steps_a; steps_b; scenario; domain; explain } ->
+          ("kind", Json.str "score_pair")
+          :: ("steps_a", jstrs steps_a)
+          :: ("steps_b", jstrs steps_b)
+          :: (opt "scenario" Json.str scenario
+             @ opt "domain" Json.str domain
+             @ flag "explain" explain)
+      | Refine
+          { task; steps; seed; scenario; domain; explain; max_rounds; attempts }
+        ->
+          let budget =
+            match opt "max_rounds" jint max_rounds @ opt "attempts" jint attempts with
+            | [] -> []
+            | ms -> [ ("budget", Json.obj ms) ]
+          in
+          ("kind", Json.str "refine")
+          :: ("task", Json.str task)
+          :: ("steps", jstrs steps)
+          :: ("seed", jint seed)
+          :: (opt "scenario" Json.str scenario
+             @ opt "domain" Json.str domain
+             @ flag "explain" explain @ budget)
+      | Stats { domain } -> ("kind", Json.str "stats") :: opt "domain" Json.str domain
+      | Health { domain } ->
+          ("kind", Json.str "health") :: opt "domain" Json.str domain
+    in
+    Json.obj
+      ((("id", Json.str r.id) :: base) @ opt "deadline_ms" Json.num r.deadline_ms)
+
+  let json_of_response r =
+    let payload =
+      match r.rbody with
+      | Generated { steps; tokens; profile } ->
+          [
+            ("steps", jstrs steps);
+            ("tokens", jints tokens);
+            ("profile", json_of_profile profile);
+          ]
+      | Verified { profile; explanations } ->
+          ("profile", json_of_profile profile) :: jexplanations explanations
+      | Compared
+          {
+            preference;
+            margin;
+            margin_specs;
+            vacuous_margin;
+            profile_a;
+            profile_b;
+            explanations;
+          } ->
+          [
+            ("preference", Json.str preference);
+            ("margin", jint margin);
+            ("margin_specs", jstrs margin_specs);
+            ("vacuous_margin", Json.Bool vacuous_margin);
+            ("profile_a", json_of_profile profile_a);
+            ("profile_b", json_of_profile profile_b);
+          ]
+          @ jexplanations explanations
+      | Refined
+          {
+            rstatus;
+            deadline_hit;
+            original_profile;
+            final_steps;
+            final_profile;
+            rounds;
+          } ->
+          let json_of_round r =
+            Json.obj
+              ([
+                 ("round", jint r.rr_index);
+                 ("violated", jstrs r.rr_violated);
+                 ("accepted", Json.Bool r.rr_accepted);
+                 ("margin", jint r.rr_margin);
+               ]
+              @ jexplanations ~name:"feedback" r.rr_feedback)
+          in
+          [
+            ( "refine",
+              Json.obj
+                ([ ("status", Json.str rstatus) ]
+                @ flag "deadline_hit" deadline_hit
+                @ [
+                    ("original_profile", json_of_profile original_profile);
+                    ("final_steps", jstrs final_steps);
+                    ("final_profile", json_of_profile final_profile);
+                    ("rounds", Json.arr (List.map json_of_round rounds));
+                  ]) );
+          ]
+      | Stats_report { metrics; histograms; runtime } ->
+          let nums kvs =
+            Json.obj (List.map (fun (k, v) -> (k, Json.num v)) kvs)
+          in
+          [
+            ( "stats",
+              Json.obj
+                [
+                  ("metrics", nums metrics);
+                  ( "histograms",
+                    Json.obj
+                      (List.map
+                         (fun (k, s) -> (k, Metrics.json_of_snapshot s))
+                         histograms) );
+                  ("runtime", nums runtime);
+                ] );
+          ]
+      | Health_report
+          { queue_depth; in_flight_batches; draining; domains; shards } ->
+          let jshards =
+            match shards with
+            | [] -> []
+            | _ ->
+                [
+                  ( "shards",
+                    Json.arr
+                      (List.map
+                         (fun s ->
+                           Json.obj
+                             [
+                               ("shard", Json.str s.sh_shard);
+                               ("queue_depth", jint s.sh_queue_depth);
+                               ("in_flight", jint s.sh_in_flight);
+                               ("requests", jint s.sh_requests);
+                               ("draining", Json.Bool s.sh_draining);
+                             ])
+                         shards) );
+                ]
+          in
+          [
+            ( "health",
+              Json.obj
+                ([
+                   ("queue_depth", jint queue_depth);
+                   ("in_flight_batches", jint in_flight_batches);
+                   ("draining", Json.Bool draining);
+                   ( "domains",
+                     Json.obj (List.map (fun (d, n) -> (d, jint n)) domains) );
+                 ]
+                @ jshards) );
+          ]
+      | Rejected reason -> [ ("reason", Json.str reason) ]
+      | Expired -> []
+      | Failed msg -> [ ("error", Json.str msg) ]
+    in
+    Json.obj
+      ([
+         ("id", Json.str r.rid);
+         ("status", Json.str (status_of_body r.rbody));
+         ("queue_wait_us", Json.num r.queue_wait_us);
+         ("execute_us", Json.num r.execute_us);
+       ]
+      @ payload)
+
+  let request_to_string r = to_string (json_of_request r)
+  let response_to_string r = to_string (json_of_response r)
+end
+
+module G = QCheck.Gen
+
+(* text with every escaping case: quote, backslash, the named control
+   escapes, other control bytes, DEL, multi-byte UTF-8 and any byte *)
+let gen_text =
+  G.(
+    map (String.concat "")
+      (list_size (0 -- 5)
+         (frequency
+            [
+              ( 3,
+                oneofl
+                  [ "\""; "\\"; "\n"; "\r"; "\t"; "\000"; "\001"; "\x1f"; "\x7f";
+                    "/"; "\xc3\xa9"; "\xe2\x86\x92"; "\xf0\x9f\x98\x80";
+                    "phi_1"; "turn right"; " " ] );
+              (1, map (String.make 1) char);
+            ])))
+
+(* the number formatter's edges: negative zero, both sides of 1e15 (the
+   integer-form bound), 2^53, subnormals, values needing all 17 digits *)
+let edge_floats =
+  [ 0.0; -0.0; 1.0; -1.0; 12.5; 1e15; -1e15; 1e15 -. 1.0; 1e15 +. 1.0;
+    -.(1e15 -. 1.0); -.(1e15 +. 1.0); 0x1p53; -0x1p53; 0x1p53 +. 2.0;
+    5e-324; -5e-324; 2.2250738585072009e-308; 0.1; 1.0 /. 3.0;
+    0.30000000000000004; 123456.78901234567; 1e300; Float.max_float ]
+
+let gen_finite =
+  G.(
+    oneof
+      [
+        oneofl edge_floats;
+        float_range (-1e6) 1e6;
+        map
+          (fun bits ->
+            let f = Int64.float_of_bits bits in
+            if Float.is_finite f then f else 0.5)
+          ui64;
+      ])
+
+let gen_int =
+  G.(
+    oneof
+      [
+        small_signed_int;
+        oneofl
+          [ 999_999_999_999_999; 1_000_000_000_000_000;
+            -1_000_000_000_000_001; 1 lsl 53; -(1 lsl 53) ];
+        int_range (-(1 lsl 53)) (1 lsl 53);
+      ])
+
+let gen_texts = G.(list_size (0 -- 4) gen_text)
+let gen_domain = G.opt gen_text
+
+let gen_kind =
+  let open G in
+  oneof
+    [
+      (let+ task = gen_text and+ seed = gen_int and+ temperature = gen_finite
+       and+ domain = gen_domain in
+       P.Generate { task; seed; temperature; domain });
+      (let+ steps = gen_texts and+ scenario = opt gen_text and+ domain = gen_domain
+       and+ explain = bool in
+       P.Verify { steps; scenario; domain; explain });
+      (let+ steps_a = gen_texts and+ steps_b = gen_texts
+       and+ scenario = opt gen_text and+ domain = gen_domain and+ explain = bool in
+       P.Score_pair { steps_a; steps_b; scenario; domain; explain });
+      (let+ task = gen_text and+ steps = gen_texts and+ seed = gen_int
+       and+ scenario = opt gen_text and+ domain = gen_domain and+ explain = bool
+       and+ max_rounds = opt (1 -- 1000) and+ attempts = opt (int_range 1 (1 lsl 53)) in
+       P.Refine
+         { task; steps; seed; scenario; domain; explain; max_rounds; attempts });
+      map (fun domain -> P.Stats { domain }) gen_domain;
+      map (fun domain -> P.Health { domain }) gen_domain;
+    ]
+
+let gen_request =
+  let open G in
+  let+ id = gen_text and+ kind = gen_kind
+  and+ deadline_ms = opt (map (fun f -> Float.abs f +. 1e-3) gen_finite) in
+  { P.id; kind; deadline_ms }
+
+let gen_profile =
+  let open G in
+  let+ score = gen_int and+ satisfied = gen_texts and+ violated = gen_texts
+  and+ vacuous = gen_texts in
+  { P.score; satisfied; violated; vacuous }
+
+let gen_explanations =
+  G.(
+    opt
+      (list_size (0 -- 3)
+         (let+ espec = gen_text and+ etext = gen_text in
+          { P.espec; etext })))
+
+let gen_round =
+  let open G in
+  let+ rr_index = gen_int and+ rr_violated = gen_texts and+ rr_accepted = bool
+  and+ rr_margin = gen_int and+ rr_feedback = gen_explanations in
+  { P.rr_index; rr_violated; rr_accepted; rr_margin; rr_feedback }
+
+(* a plausible snapshot: ascending buckets whose counts sum to [count] *)
+let gen_snapshot =
+  let open G in
+  let+ counts = list_size (0 -- 4) (0 -- 1000) and+ sum = gen_finite
+  and+ low = float_range 1e-6 1.0 in
+  let buckets =
+    List.mapi
+      (fun i c -> (low *. (2.0 ** float_of_int i), low *. (2.0 ** float_of_int (i + 1)), c))
+      counts
+  in
+  {
+    Metrics.count = List.fold_left ( + ) 0 counts;
+    sum;
+    min = low;
+    max = low *. (2.0 ** float_of_int (List.length counts));
+    buckets;
+  }
+
+(* stats values may be NaN or infinite: they print as null *)
+let gen_gauge =
+  G.(frequency [ (4, gen_finite); (1, oneofl [ Float.nan; Float.infinity; Float.neg_infinity ]) ])
+
+let gen_body =
+  let open G in
+  oneof
+    [
+      (let+ steps = gen_texts and+ tokens = list_size (0 -- 40) gen_int
+       and+ profile = gen_profile in
+       P.Generated { steps; tokens; profile });
+      (let+ profile = gen_profile and+ explanations = gen_explanations in
+       P.Verified { profile; explanations });
+      (let+ preference = gen_text and+ margin = gen_int
+       and+ margin_specs = gen_texts and+ vacuous_margin = bool
+       and+ profile_a = gen_profile and+ profile_b = gen_profile
+       and+ explanations = gen_explanations in
+       P.Compared
+         { preference; margin; margin_specs; vacuous_margin; profile_a;
+           profile_b; explanations });
+      (let+ rstatus = gen_text and+ deadline_hit = bool
+       and+ original_profile = gen_profile and+ final_steps = gen_texts
+       and+ final_profile = gen_profile and+ rounds = list_size (0 -- 3) gen_round in
+       P.Refined
+         { rstatus; deadline_hit; original_profile; final_steps; final_profile;
+           rounds });
+      (let+ metrics = list_size (0 -- 4) (pair gen_text gen_gauge)
+       and+ histograms = list_size (0 -- 2) (pair gen_text gen_snapshot)
+       and+ runtime = list_size (0 -- 3) (pair gen_text gen_gauge) in
+       P.Stats_report { metrics; histograms; runtime });
+      (let+ queue_depth = gen_int and+ in_flight_batches = gen_int
+       and+ draining = bool and+ domains = list_size (0 -- 3) (pair gen_text gen_int)
+       and+ shards =
+         list_size (0 -- 3)
+           (let+ sh_shard = gen_text and+ sh_queue_depth = gen_int
+            and+ sh_in_flight = gen_int and+ sh_requests = gen_int
+            and+ sh_draining = bool in
+            { P.sh_shard; sh_queue_depth; sh_in_flight; sh_requests; sh_draining })
+       in
+       P.Health_report { queue_depth; in_flight_batches; draining; domains; shards });
+      map (fun r -> P.Rejected r) gen_text;
+      return P.Expired;
+      map (fun m -> P.Failed m) gen_text;
+    ]
+
+let gen_response =
+  let open G in
+  let+ rid = gen_text and+ rbody = gen_body and+ queue_wait_us = gen_finite
+  and+ execute_us = gen_finite in
+  { P.rid; rbody; queue_wait_us; execute_us }
+
+let prop_request_oracle =
+  QCheck.Test.make ~count:1000 ~name:"request encoder = tree oracle"
+    (QCheck.make ~print:Oracle.request_to_string gen_request)
+    (fun r ->
+      let line = P.request_to_string r in
+      line = Oracle.request_to_string r && P.request_of_string line = Ok r)
+
+(* NaN and infinities print as null, which no decoder reads back as a
+   number: such a response is held to the oracle's bytes only *)
+let finite_body = function
+  | P.Stats_report { metrics; runtime; _ } ->
+      List.for_all (fun (_, v) -> Float.is_finite v) (metrics @ runtime)
+  | _ -> true
+
+let prop_response_oracle =
+  QCheck.Test.make ~count:1000 ~name:"response encoder = tree oracle"
+    (QCheck.make ~print:Oracle.response_to_string gen_response)
+    (fun r ->
+      let line = P.response_to_string r in
+      (* the daemon appends to a buffer that already holds earlier lines *)
+      let appended =
+        let b = Buffer.create 16 in
+        Buffer.add_string b "{}\n";
+        P.write_response b r;
+        Buffer.sub b 3 (Buffer.length b - 3)
+      in
+      line = Oracle.response_to_string r
+      && appended = line
+      && ((not (finite_body r.P.rbody)) || P.response_of_string line = Ok r))
+
+(* Json.to_string (traces, metrics, the journal, preference stores) goes
+   through the same writer *)
+let gen_json =
+  let open G in
+  let module Json = Dpoaf_util.Json in
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map (fun v -> Json.Bool v) bool;
+        map (fun v -> Json.Num v) gen_gauge;
+        map (fun v -> Json.Str v) gen_text;
+      ]
+  in
+  sized_size (0 -- 3)
+    (fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (1, leaf);
+               (1, map (fun xs -> Json.Arr xs) (list_size (0 -- 4) (self (n - 1))));
+               ( 1,
+                 map
+                   (fun kvs -> Json.Obj kvs)
+                   (list_size (0 -- 4) (pair gen_text (self (n - 1)))) );
+             ]))
+
+let prop_json_oracle =
+  QCheck.Test.make ~count:1000 ~name:"Json.to_string = tree oracle"
+    (QCheck.make ~print:Oracle.to_string gen_json)
+    (fun j -> Dpoaf_util.Json.to_string j = Oracle.to_string j)
+
+(* ---------------- decoder fuzz ---------------- *)
+
+(* the golden lines of every protocol test above, gathered by running
+   them *)
+let fuzz_corpus =
+  lazy
+    (golden_lines := [];
+     test_request_goldens ();
+     test_response_goldens ();
+     test_refine_goldens ();
+     test_ops_goldens ();
+     Array.of_list (List.rev !golden_lines))
+
+(* a golden line with one to three bytes flipped, cut or inserted, or a
+   string of random bytes *)
+let gen_fuzzed_line st =
+  let corpus = Lazy.force fuzz_corpus in
+  let byte st =
+    if Random.State.bool st then
+      G.oneofl [ '"'; '\\'; '{'; '}'; '['; ']'; ','; ':'; '-'; '.'; 'e'; '0'; '9'; 'n'; 'u' ] st
+    else G.char st
+  in
+  let mutate s =
+    let n = String.length s in
+    let at = Random.State.int st (n + 1) in
+    match Random.State.int st 3 with
+    | 0 when n > 0 ->
+        let at = min at (n - 1) in
+        String.mapi (fun i c -> if i = at then byte st else c) s
+    | 1 ->
+        let stop = at + Random.State.int st (n - at + 1) in
+        String.sub s 0 at ^ String.sub s stop (n - stop)
+    | _ -> String.sub s 0 at ^ String.make 1 (byte st) ^ String.sub s at (n - at)
+  in
+  if Random.State.int st 8 = 0 then G.(string_size ~gen:char (0 -- 64)) st
+  else
+    let line = corpus.(Random.State.int st (Array.length corpus)) in
+    let rec go k s = if k = 0 then s else go (k - 1) (mutate s) in
+    go (1 + Random.State.int st 3) line
+
+let reencodes decode encode line =
+  match decode line with
+  | Ok x -> decode (encode x) = Ok x
+  | Error _ -> true
+
+let prop_decoder_fuzz =
+  QCheck.Test.make ~count:3000
+    ~name:"decoder fuzz: no raise, Ok round-trips"
+    (QCheck.make ~print:String.escaped gen_fuzzed_line)
+    (fun line ->
+      reencodes P.request_of_string P.request_to_string line
+      && reencodes P.response_of_string P.response_to_string line)
 
 (* ---------------- server scheduling ---------------- *)
 
@@ -1016,6 +1674,114 @@ let test_daemon_line_bound () =
   in
   Alcotest.(check int) "one protocol error" 1 stats.Daemon.protocol_errors
 
+(* every line of a fuzzed batch (golden lines with bytes flipped, cut or
+   inserted, and random bytes) gets exactly one well-formed line back, and
+   the daemon stays healthy *)
+let test_daemon_fuzzed_batch () =
+  let server =
+    Server.create
+      ~config:{ Server.default_config with queue_capacity = 1024 }
+      ~handler:(fun _ -> P.verified ok_profile) ()
+  in
+  let lines =
+    G.generate ~rand:(Random.State.make [| 24 |]) ~n:300 gen_fuzzed_line
+    |> List.map (String.map (fun c -> if c = '\n' then ' ' else c))
+    |> List.filter (fun l -> String.trim l <> "")
+  in
+  let health_id = "health-after-fuzz" in
+  let stats =
+    with_daemon (Router.create [| server |]) (fun ~socket ~port:_ ->
+        let fd = connect_unix socket in
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+        let ic = Unix.in_channel_of_descr fd in
+        let oc = Unix.out_channel_of_descr fd in
+        List.iter
+          (fun l ->
+            output_string oc l;
+            output_char oc '\n')
+          lines;
+        output_string oc
+          (P.request_to_string
+             { P.id = health_id; kind = P.Health { domain = None };
+               deadline_ms = None });
+        output_char oc '\n';
+        flush oc;
+        (* ops verbs are answered ahead of queued work, so the health
+           line may come before the last fuzzed answers *)
+        let replies =
+          List.init (List.length lines + 1) (fun _ ->
+              let line = input_line ic in
+              match P.response_of_string line with
+              | Ok r -> r
+              | Error e -> Alcotest.failf "ill-formed reply %S: %s" line e)
+        in
+        (match List.filter (fun r -> r.P.rid = health_id) replies with
+        | [ { P.rbody = P.Health_report _; _ } ] -> ()
+        | _ -> Alcotest.fail "expected one ok health reply");
+        Unix.close fd)
+  in
+  Alcotest.(check int) "one reply per line" (List.length lines + 1)
+    stats.Daemon.responses;
+  Alcotest.(check int) "protocol errors are the lines that do not decode"
+    (List.length
+       (List.filter (fun l -> Result.is_error (P.request_of_string l)) lines))
+    stats.Daemon.protocol_errors
+
+(* a client that asks but never reads is closed once its unread responses
+   pass the outbox bound, while a second client keeps being served *)
+let test_daemon_outbox_bound () =
+  let big = String.make 65536 'x' in
+  let server =
+    Server.create
+      ~handler:(fun req ->
+        if String.starts_with ~prefix:"slow" req.P.id then P.Failed big
+        else P.verified ok_profile)
+      ()
+  in
+  let overflows = Metrics.counter "serve.outbox_overflows" in
+  let before = Metrics.value overflows in
+  let asked = 3 * Daemon.max_outbox_bytes / String.length big in
+  let served name socket =
+    match roundtrip_over (connect_unix socket) [ verify_request name ] with
+    | [ line ] ->
+        Alcotest.(check bool) (name ^ " is served") true
+          (contains line {|"status":"ok"|})
+    | _ -> Alcotest.fail "expected one response"
+  in
+  let stats =
+    with_daemon (Router.create [| server |]) (fun ~socket ~port:_ ->
+        let slow = connect_unix socket in
+        let oc = Unix.out_channel_of_descr slow in
+        for i = 1 to asked do
+          output_string oc
+            (P.request_to_string (verify_request (Printf.sprintf "slow%d" i)));
+          output_char oc '\n'
+        done;
+        flush oc;
+        served "while-slow" socket;
+        let deadline = Unix.gettimeofday () +. 20.0 in
+        while Metrics.value overflows = before && Unix.gettimeofday () < deadline do
+          Unix.sleepf 0.01
+        done;
+        served "after-slow" socket;
+        (* the slow client finds its connection closed after the bytes the
+           kernel had already taken *)
+        Unix.setsockopt_float slow Unix.SO_RCVTIMEO 10.0;
+        let chunk = Bytes.create 65536 in
+        let rec drain total =
+          match Unix.read slow chunk 0 (Bytes.length chunk) with
+          | 0 -> total
+          | n -> drain (total + n)
+          | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> total
+        in
+        let received = drain 0 in
+        Alcotest.(check bool) "the slow client got only part of its answers"
+          true
+          (received < asked * String.length big);
+        Unix.close slow)
+  in
+  Alcotest.(check int) "one overflow counted" 1 stats.Daemon.outbox_overflows
+
 let test_prompt_state_cache_transparent () =
   (* Repeated generations for one task hit the prompt-state cache, and the
      cache never changes a reply: a cold engine produces the same tokens. *)
@@ -1251,6 +2017,11 @@ let () =
           Alcotest.test_case "refine goldens" `Quick test_refine_goldens;
           Alcotest.test_case "ops goldens" `Quick test_ops_goldens;
           Alcotest.test_case "strict decoding" `Quick test_protocol_strictness;
+          Alcotest.test_case "strict integers" `Quick test_strict_integers;
+          QCheck_alcotest.to_alcotest ~verbose:false prop_json_oracle;
+          QCheck_alcotest.to_alcotest ~verbose:false prop_request_oracle;
+          QCheck_alcotest.to_alcotest ~verbose:false prop_response_oracle;
+          QCheck_alcotest.to_alcotest ~verbose:false prop_decoder_fuzz;
           Alcotest.test_case "loadgen mix parsing" `Quick test_mix_parsing;
         ] );
       ( "journal",
@@ -1281,6 +2052,8 @@ let () =
           Alcotest.test_case "TCP and Unix transport identity" `Quick
             test_daemon_transport_identity;
           Alcotest.test_case "line length bound" `Quick test_daemon_line_bound;
+          Alcotest.test_case "fuzzed batch" `Quick test_daemon_fuzzed_batch;
+          Alcotest.test_case "outbox bound" `Quick test_daemon_outbox_bound;
         ] );
       ( "engine",
         [
