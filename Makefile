@@ -74,16 +74,21 @@ trace-check:
 	dune exec test/trace_validate.exe -- _build/trace-check.jsonl _build/trace-check.metrics.json
 	dune exec bin/dpoaf_cli.exe -- report _build/trace-check.jsonl
 
-# Fused-kernel gate: the bit-identity differential suites (fused vs
-# unfused scoring, incremental vs full-context and from-scratch
-# decoding, arena reuse vs fresh tapes, and the fused arena trainer vs
-# the unfused fresh-tape one).  See docs/performance.md.
+# Fused-kernel gate: the bit-identity differential suites.  The fused
+# tape nodes equal the primitive-op composition and a reused arena equals
+# fresh tapes (test_tensor); production tape scoring equals the unfused
+# composition of the test/oracle library, and incremental decoding equals
+# full-context and from-scratch decoding (test_lm); the frozen-feature
+# DPO trainer and REINFORCE step equal their tape oracles in
+# test/oracle, on both kernels, including the qcheck properties over Bow
+# and GRU models (test_dpo).  See docs/performance.md.
 kernels-check:
 	dune build test/test_tensor.exe test/test_lm.exe test/test_dpo.exe
 	dune exec test/test_tensor.exe -- test 'fused kernels'
 	dune exec test/test_tensor.exe -- test 'tape reuse'
 	dune exec test/test_lm.exe -- test incremental
-	dune exec test/test_dpo.exe -- test trainer -q
+	dune exec test/test_dpo.exe -- test trainer
+	dune exec test/test_dpo.exe -- test reinforce
 
 # Serving-layer round-trip: daemon on a temp socket, a loadgen burst,
 # assert completions with zero protocol errors, graceful SIGTERM drain.

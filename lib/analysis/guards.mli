@@ -23,10 +23,6 @@ val eval : dnf -> Dpoaf_logic.Symbol.t -> bool
 (** Agrees with {!Dpoaf_automata.Fsa.eval_guard} on the original guard
     (property-tested in [test/test_analysis.ml]). *)
 
-val symbol_of_cube : cube -> Dpoaf_logic.Symbol.t
-(** The canonical witness of a cube: its positive atoms (don't-care and
-    negative atoms are left false). *)
-
 val satisfiable : Dpoaf_automata.Fsa.guard -> bool
 
 val witness : Dpoaf_automata.Fsa.guard -> Dpoaf_logic.Symbol.t option

@@ -7,16 +7,6 @@
     - [MDL002] (error) uncovered atom — the rule book mentions an atom the
       model never emits (action atoms are excluded via [ignore]) *)
 
-val dead_states : Dpoaf_automata.Ts.t -> Dpoaf_automata.Ts.state list
-
-val uncovered_atoms :
-  specs:(string * Dpoaf_logic.Ltl.t) list ->
-  ?ignore:Dpoaf_logic.Symbol.t ->
-  Dpoaf_automata.Ts.t ->
-  Dpoaf_logic.Symbol.t
-(** Spec atoms, minus [ignore] (typically the action atoms the controller
-    emits), that no state label of the model contains. *)
-
 val lint :
   ?specs:(string * Dpoaf_logic.Ltl.t) list ->
   ?ignore:Dpoaf_logic.Symbol.t ->

@@ -44,5 +44,3 @@ let degeneralize (g : gnba) : nba =
     done
   done;
   { n; initial = List.map (fun q -> id q 0) g.initial; pos; neg; succs; accepting }
-
-let nba_states (a : nba) = a.n

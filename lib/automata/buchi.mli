@@ -32,5 +32,3 @@ val degeneralize : gnba -> nba
     [i] when the source state belongs to acceptance set [i]; accepting
     states are [(q, 0)] with [q ∈ accept.(0)].  A GNBA with zero acceptance
     sets accepts every run, so all states become accepting. *)
-
-val nba_states : nba -> int

@@ -15,10 +15,6 @@ let rec eval_guard g sym =
   | Gand (a, b) -> eval_guard a sym && eval_guard b sym
   | Gor (a, b) -> eval_guard a sym || eval_guard b sym
 
-let guard_conj = function
-  | [] -> Gtrue
-  | g :: rest -> List.fold_left (fun acc h -> Gand (acc, h)) g rest
-
 let rec pp_guard ppf = function
   | Gtrue -> Format.pp_print_string ppf "true"
   | Gatom a -> Format.pp_print_string ppf a
@@ -75,17 +71,6 @@ let is_input_enabled t ~over =
 
 let actions t =
   List.fold_left (fun acc tr -> Symbol.union acc tr.action) Symbol.empty t.transitions
-
-let rec guard_atoms_of = function
-  | Gtrue -> Symbol.empty
-  | Gatom a -> Symbol.singleton a
-  | Gnot g -> guard_atoms_of g
-  | Gand (a, b) | Gor (a, b) -> Symbol.union (guard_atoms_of a) (guard_atoms_of b)
-
-let guard_atoms t =
-  List.fold_left
-    (fun acc tr -> Symbol.union acc (guard_atoms_of tr.guard))
-    Symbol.empty t.transitions
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>controller %s (%d states, init %s)@," t.name t.n_states

@@ -15,9 +15,6 @@ type guard =
 
 val eval_guard : guard -> Dpoaf_logic.Symbol.t -> bool
 
-val guard_conj : guard list -> guard
-(** Conjunction; empty list is [Gtrue]. *)
-
 val pp_guard : Format.formatter -> guard -> unit
 
 type state = int
@@ -58,8 +55,5 @@ val is_input_enabled : t -> over:Dpoaf_logic.Symbol.t list -> bool
 
 val actions : t -> Dpoaf_logic.Symbol.t
 (** All action atoms mentioned by any transition. *)
-
-val guard_atoms : t -> Dpoaf_logic.Symbol.t
-(** All observation atoms mentioned by any guard. *)
 
 val pp : Format.formatter -> t -> unit

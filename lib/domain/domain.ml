@@ -67,9 +67,6 @@ let find_task_exn ((module D : S) as d) id =
         (Printf.sprintf "unknown task %S in domain %S (valid: %s)" id D.name
            (String.concat ", " (List.map (fun t -> t.id) D.tasks)))
 
-let tasks_of_split (module D : S) split =
-  List.filter (fun t -> t.split = split) D.tasks
-
 (* The one compile-and-check behind every counterexample: compile the
    response, build the product once inside verify_all and check only the
    requested specs.  Explain.explain replays each lasso through

@@ -115,8 +115,6 @@ val find_task : t -> string -> task option
 val find_task_exn : t -> string -> task
 (** @raise Failure with the valid task-id list for unknown ids. *)
 
-val tasks_of_split : t -> split -> task list
-
 val counterexamples :
   t ->
   ?model:Dpoaf_automata.Ts.t ->

@@ -26,12 +26,6 @@ exception Rejected of { domain : string; diagnostics : string list }
     [SPEC003] pairwise redundancy, [SPEC004] model-level vacuity,
     [MDL001] dead model state, [MDL002] uncovered spec atom). *)
 
-val instantiate : pattern -> Dpoaf_logic.Ltl.t
-
-val name_suite :
-  Dpoaf_logic.Ltl.t list -> (string * Dpoaf_logic.Ltl.t) list
-(** Name formulas [phi_1 … phi_N] in order. *)
-
 val suite :
   domain:string ->
   model:Dpoaf_automata.Ts.t ->

@@ -10,7 +10,10 @@
 
     Only the LoRA adapter is trained, as in the DPO path, so the two
     fine-tuning strategies are directly comparable (bench section
-    [abl-rl]). *)
+    [abl-rl]).  Each epoch steps on the {!Features} of its samples with a
+    nonzero advantage, with no autodiff tape; the step is bit-identical to
+    back-propagating [-Σ (r − b̄_task) log π_θ(y|x) / N] (N samples in
+    all) on a tape. *)
 
 type task = {
   prompt : int list;

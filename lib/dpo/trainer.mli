@@ -1,4 +1,17 @@
-(** The DPO fine-tuning loop (LoRA parameters only, per Appendix E).
+(** Direct preference optimization (Rafailov et al. 2023) of the LoRA
+    parameters only (Appendix E), with the paper's metrics (§5.2).
+
+    Per pair, with policy π_θ and frozen reference π_ref:
+
+    [L = -log σ(β((log π_θ(y_w) − log π_ref(y_w)) −
+                  (log π_θ(y_l) − log π_ref(y_l))))]
+
+    - {b accuracy} is the fraction of pairs with
+      [P(y_w|x,θ) > P(y_l|x,θ)];
+    - {b marginal preference} is the mean of the β-free margin
+      [(log π_θ(y_w) − log π_ref(y_w)) − (log π_θ(y_l) − log π_ref(y_l))]:
+      zero at initialization, positive once the model prefers the chosen
+      response more than the reference does.
 
     Between random seeds only the data order changes — the paper notes this
     is why the variance bands in Figure 8 are small. *)
@@ -78,12 +91,11 @@ val train :
     tensors, which training never writes ([reference] itself is left
     unchanged).  [?sink] receives one {!step_record} per optimizer step.
 
-    Only the adapter trains, so each pair's frozen features (per scored
-    position: the allowed tokens, the target, the conditioning vector [h]
-    and the frozen logits [W h]) and its reference log-probabilities are
-    computed once up front.  A step computes the adapter logits and
-    closed-form adapter gradients from them, with no autodiff tape; it is
-    bit-identical to back-propagating the DPO loss through
+    Only the adapter trains, so the {!Features} of each pair's two legs
+    and its reference log-probabilities are computed once up front.  A
+    step computes the adapter logits and closed-form adapter gradients
+    from them, with no autodiff tape; it is bit-identical to
+    back-propagating the DPO loss through
     {!Dpoaf_tensor.Autodiff.lora_logit_logprob} on a tape. *)
 
 val train_seeds :

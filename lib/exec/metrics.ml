@@ -105,12 +105,6 @@ let timer_entry name =
           Hashtbl.add entries name (Timer t);
           t)
 
-let record_time name seconds =
-  let t = timer_entry name in
-  with_lock (fun () ->
-      t.total <- t.total +. seconds;
-      t.count <- t.count + 1)
-
 let time name f =
   (* intern up front so a name collision raises before [f] runs, not
      wrapped in Finally_raised *)
@@ -158,11 +152,6 @@ let observe h v =
   if v < h.minv then h.minv <- v;
   if v > h.maxv then h.maxv <- v;
   Mutex.unlock h.hmutex
-
-let observe_time name f =
-  let h = histogram name in
-  let t0 = Unix.gettimeofday () in
-  Fun.protect ~finally:(fun () -> observe h (Unix.gettimeofday () -. t0)) f
 
 (* Upper bound of bucket [i]'s value range. *)
 let bucket_upper i =

@@ -47,9 +47,6 @@ val time : string -> (unit -> 'a) -> 'a
     @raise Invalid_argument if the name is already registered as a counter
     or histogram. *)
 
-val record_time : string -> float -> unit
-(** Add an externally measured duration (seconds) to a timer. *)
-
 (** {1 Histograms}
 
     Log-bucketed distributions (ten buckets per decade over
@@ -68,10 +65,6 @@ val histogram : string -> histogram
 
 val observe : histogram -> float -> unit
 (** Record one observation (typically seconds). *)
-
-val observe_time : string -> (unit -> 'a) -> 'a
-(** [observe_time name f] runs [f] and records its wall-clock duration in
-    the histogram [name]. *)
 
 val percentile : histogram -> float -> float
 (** [percentile h q] with [q ∈ [0,1]]: nearest-rank estimate from the

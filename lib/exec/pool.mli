@@ -34,8 +34,6 @@ val shutdown : t -> unit
 (** Join all workers.  Idempotent; subsequent batch submissions raise. *)
 
 val map_on_pool : t -> ('a -> 'b) -> 'a list -> 'b list
-val mapi_on_pool : t -> (int -> 'a -> 'b) -> 'a list -> 'b list
-
 (** {1 Shared default pool}
 
     Library code takes an optional [?jobs] argument and defaults to the
@@ -47,9 +45,6 @@ val set_default_jobs : int -> unit
     shared pool on the next use if the size changed. *)
 
 val default_jobs : unit -> int
-
-val get_default : unit -> t
-(** The lazily created shared pool of [default_jobs ()] slots. *)
 
 val parallel_map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [parallel_map ?jobs f xs] is [List.map f xs] computed on [jobs] slots

@@ -26,7 +26,6 @@ type t =
           next step otherwise *)
   | Act of string  (** unconditional action ("turn right") *)
 
-val condition_atoms : condition -> string list
 val atoms : t -> string list
 (** Propositions referenced by the clause (not actions). *)
 
@@ -36,7 +35,6 @@ val guard_of_condition : condition -> Dpoaf_automata.Fsa.guard
 
 val eval_condition : condition -> Dpoaf_logic.Symbol.t -> bool
 
-val pp_condition : Format.formatter -> condition -> unit
 val pp : Format.formatter -> t -> unit
 (** Paper-style bracketed rendering, e.g.
     [<if> <green traffic light>, <go straight>]. *)

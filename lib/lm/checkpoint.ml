@@ -61,11 +61,20 @@ let save model path =
                 g.Model.br; g.Model.wh; g.Model.uh; g.Model.bh ]);
     }
   in
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc magic;
-      output_binary_int oc version;
-      Marshal.to_channel oc blob [])
+  (* write beside [path], then rename over it: a crash mid-save leaves the
+     previous checkpoint intact *)
+  let tmp = path ^ ".tmp" in
+  try
+    let oc = open_out_bin tmp in
+    Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
+        output_string oc magic;
+        output_binary_int oc version;
+        Marshal.to_channel oc blob [];
+        close_out oc);
+    Sys.rename tmp path
+  with e ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
 
 let restore ~path ~what dst src =
   if Tensor.numel dst <> Array.length src then

@@ -14,7 +14,10 @@ val version : int
 (** The checkpoint format version this build reads and writes. *)
 
 val save : Model.t -> string -> unit
-(** Write to a file path. *)
+(** Write to a file path: the checkpoint goes to [path ^ ".tmp"] first and
+    is renamed over [path], so a crash mid-save leaves the previous file at
+    [path] intact.  On failure the temporary file is removed and the
+    exception re-raised. *)
 
 val load : string -> Model.t
 (** @raise Corrupt on unreadable, malformed, truncated or

@@ -63,8 +63,6 @@ let advance t state tok =
 
 let is_final _t state = state.finished
 
-let clauses_done state = state.clauses_done
-
 let tokens_of_steps vocab steps =
   let encoded = List.map (Vocab.encode vocab) steps in
   let rec join = function

@@ -28,8 +28,6 @@ val advance : t -> state -> int -> state option
 val is_final : t -> state -> bool
 (** True once [<eos>] has been consumed. *)
 
-val clauses_done : state -> int
-
 val tokens_of_steps : Vocab.t -> string list -> int list
 (** Encode a full response (steps joined with [<sep>], ending in [<eos>]).
     This is the token sequence whose probability the model assigns to the

@@ -102,24 +102,6 @@ let bind t tape =
       | Some g -> List.map (Autodiff.var tape) (gru_tensors g));
   }
 
-let tape_of_bound bound = bound.tape
-
-(* Which scoring kernels to use.  [Fused] is the production path (one tape
-   node per scored token component); [Unfused] is the original primitive-op
-   composition, kept as the differential-test and benchmark reference.
-   Both produce bit-identical values and gradients. *)
-type impl = Fused | Unfused
-
-let impl_default = ref Fused
-let set_default_impl impl = impl_default := impl
-let default_impl () = !impl_default
-let resolve_impl = function Some impl -> impl | None -> !impl_default
-
-let lora_grads t bound =
-  match params_lora t with
-  | [ pa; pb ] -> [ (pa, Autodiff.grad bound.a); (pb, Autodiff.grad bound.b) ]
-  | _ -> assert false
-
 let pretrain_grads t bound =
   match params_pretrain t with
   | pe :: pw :: pbias :: gru_params ->
@@ -167,56 +149,13 @@ let bow_push t window tok =
   let w = window @ [ tok ] in
   if List.length w > t.config.context then List.tl w else w
 
-(* The conditioning vector: mean embedding (Bow) or a GRU pass (Gru). *)
-let hidden_node ?impl t bound ~context =
-  let tape = bound.tape in
-  match bound.gru_n with
-  | [] -> (
-      match resolve_impl impl with
-      | Fused -> Autodiff.bow_hidden tape bound.emb context
-      | Unfused -> Autodiff.tanh_ tape (Autodiff.rows_mean tape bound.emb context))
-  | _ -> List.fold_left (gru_step_node t bound) (gru_init_node t bound) context
-
-let target_pos_of ~allowed ~target =
-  if allowed = [] then invalid_arg "Model.step_logprob: empty allowed set";
-  match List.find_index (fun tok -> tok = target) allowed with
-  | Some i -> i
-  | None -> invalid_arg "Model.step_logprob: target not allowed"
-
-let logprob_from_hidden ?impl _t bound ~h ~allowed ~target =
-  let target_pos = target_pos_of ~allowed ~target in
-  let tape = bound.tape in
-  match resolve_impl impl with
-  | Fused ->
-      Autodiff.lora_logit_logprob tape ~base:bound.base ~a:bound.a ~b:bound.b
-        ~bias:bound.bias_n ~h ~allowed ~target_pos
-  | Unfused ->
-      let wx = Autodiff.gather_matvec tape bound.base h allowed in
-      let bh = Autodiff.matvec tape bound.b h in
-      let abx = Autodiff.gather_matvec tape bound.a bh allowed in
-      let bias = Autodiff.gather tape bound.bias_n allowed in
-      let logits = Autodiff.add tape (Autodiff.add tape wx abx) bias in
-      Autodiff.pick tape (Autodiff.log_softmax tape logits) target_pos
-
-let step_logprob ?impl t bound ~context ~allowed ~target =
-  let impl = resolve_impl impl in
-  let h = hidden_node ~impl t bound ~context in
-  logprob_from_hidden ~impl t bound ~h ~allowed ~target
-
-(* The differentiable state left by scoring a prompt, shared between the
-   responses scored after it (both DPO legs reuse one prompt fold). *)
+(* The differentiable state left by folding a prompt. *)
 type prompt_state = P_bow of int list | P_gru of Autodiff.t
 
-let prompt_state t bound ~prompt =
-  match t.config.arch with
-  | Bow -> P_bow (context_of t ~prompt ~prefix:[])
-  | Gru ->
-      P_gru
-        (List.fold_left (gru_step_node t bound) (gru_init_node t bound)
-           (Vocab.bos t.vocab :: prompt))
-
-let response_logprob_node_from t bound ~state ~grammar ~min_clauses ~max_clauses
-    ~tokens =
+(* Every scored token is one fused [lora_logit_logprob] node over an
+   incrementally extended context: the rolling Bow window (its hidden node
+   rebuilt by the fused [bow_hidden]) or the GRU recurrence. *)
+let response_logprob_node t bound ~prompt ~grammar ~min_clauses ~max_clauses ~tokens =
   let tape = bound.tape in
   let rec walk gstate pstate acc = function
     | [] ->
@@ -232,7 +171,15 @@ let response_logprob_node_from t bound ~state ~grammar ~min_clauses ~max_clauses
               | P_bow window -> Autodiff.bow_hidden tape bound.emb window
               | P_gru hn -> hn
             in
-            let lp = logprob_from_hidden ~impl:Fused t bound ~h ~allowed ~target:tok in
+            let target_pos =
+              match List.find_index (fun r -> r = tok) allowed with
+              | Some i -> i
+              | None -> invalid_arg "Model.response_logprob_node: target not allowed"
+            in
+            let lp =
+              Autodiff.lora_logit_logprob tape ~base:bound.base ~a:bound.a ~b:bound.b
+                ~bias:bound.bias_n ~h ~allowed ~target_pos
+            in
             let pstate' =
               match pstate with
               | P_bow window -> P_bow (bow_push t window tok)
@@ -240,69 +187,15 @@ let response_logprob_node_from t bound ~state ~grammar ~min_clauses ~max_clauses
             in
             walk gstate' pstate' (lp :: acc) rest)
   in
-  Autodiff.add_list tape (walk (Grammar.start grammar) state [] tokens)
-
-(* The original per-token composition, kept verbatim as the reference the
-   fused/incremental path is differentially tested (and benchmarked)
-   against: Bow rebuilds the context window and its hidden node from
-   scratch at every position. *)
-let response_logprob_node_unfused t bound ~prompt ~grammar ~min_clauses
-    ~max_clauses ~tokens =
-  let terms =
+  let state =
     match t.config.arch with
-    | Bow ->
-        let rec walk state prefix acc = function
-          | [] ->
-              if Grammar.is_final grammar state then acc
-              else invalid_arg "Model.response_logprob_node: incomplete response"
-          | tok :: rest -> (
-              let allowed = Grammar.allowed grammar ~min_clauses ~max_clauses state in
-              match Grammar.advance grammar state tok with
-              | None ->
-                  invalid_arg "Model.response_logprob_node: grammar rejects token"
-              | Some state' ->
-                  let context = context_of t ~prompt ~prefix:(List.rev prefix) in
-                  let lp =
-                    step_logprob ~impl:Unfused t bound ~context ~allowed ~target:tok
-                  in
-                  walk state' (tok :: prefix) (lp :: acc) rest)
-        in
-        walk (Grammar.start grammar) [] [] tokens
+    | Bow -> P_bow (context_of t ~prompt ~prefix:[])
     | Gru ->
-        (* the recurrence was already incremental pre-fusion *)
-        let h0 =
-          List.fold_left (gru_step_node t bound) (gru_init_node t bound)
-            (Vocab.bos t.vocab :: prompt)
-        in
-        let rec walk state h acc = function
-          | [] ->
-              if Grammar.is_final grammar state then acc
-              else invalid_arg "Model.response_logprob_node: incomplete response"
-          | tok :: rest -> (
-              let allowed = Grammar.allowed grammar ~min_clauses ~max_clauses state in
-              match Grammar.advance grammar state tok with
-              | None ->
-                  invalid_arg "Model.response_logprob_node: grammar rejects token"
-              | Some state' ->
-                  let lp =
-                    logprob_from_hidden ~impl:Unfused t bound ~h ~allowed ~target:tok
-                  in
-                  walk state' (gru_step_node t bound h tok) (lp :: acc) rest)
-        in
-        walk (Grammar.start grammar) h0 [] tokens
+        P_gru
+          (List.fold_left (gru_step_node t bound) (gru_init_node t bound)
+             (Vocab.bos t.vocab :: prompt))
   in
-  Autodiff.add_list bound.tape terms
-
-let response_logprob_node ?impl t bound ~prompt ~grammar ~min_clauses ~max_clauses
-    ~tokens =
-  match resolve_impl impl with
-  | Fused ->
-      let state = prompt_state t bound ~prompt in
-      response_logprob_node_from t bound ~state ~grammar ~min_clauses ~max_clauses
-        ~tokens
-  | Unfused ->
-      response_logprob_node_unfused t bound ~prompt ~grammar ~min_clauses
-        ~max_clauses ~tokens
+  Autodiff.add_list tape (walk (Grammar.start grammar) state [] tokens)
 
 let response_logprob t ~prompt ~grammar ~min_clauses ~max_clauses ~tokens =
   let tape = Autodiff.Tape.create () in

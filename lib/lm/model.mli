@@ -54,9 +54,6 @@ val clone : t -> t
     Only {!Pretrain} writes the frozen tensors, so a clone (and the model
     it was cloned from, once cloned) must never be pretrained. *)
 
-val params_pretrain : t -> Dpoaf_tensor.Optim.param list
-(** Embedding, output base and bias — trained during MLE pre-training. *)
-
 val params_lora : t -> Dpoaf_tensor.Optim.param list
 (** Adapter matrices only — trained during DPO. *)
 
@@ -72,69 +69,12 @@ type bound
 
 val bind : t -> Dpoaf_tensor.Autodiff.Tape.t -> bound
 
-val tape_of_bound : bound -> Dpoaf_tensor.Autodiff.Tape.t
-
-(** Kernel selection: [Fused] (production) scores each token with the fused
-    {!Dpoaf_tensor.Autodiff.lora_logit_logprob} node and threads an
-    incremental context; [Unfused] is the original primitive-op composition
-    retained as the differential-test and benchmark reference.  Values and
-    gradients are bit-identical between the two. *)
-type impl = Fused | Unfused
-
-val set_default_impl : impl -> unit
-(** Process-wide default for the [?impl] arguments below ([Fused] at
-    start-up).  Flip it only between runs, not while worker domains are
-    scoring. *)
-
-val default_impl : unit -> impl
-
-val hidden_node :
-  ?impl:impl -> t -> bound -> context:int list -> Dpoaf_tensor.Autodiff.t
-(** The conditioning vector for the next-token distribution (differentiable
-    path; {!Fwd} is the matching float path). *)
-
-val lora_grads :
-  t -> bound -> (Dpoaf_tensor.Optim.param * Dpoaf_tensor.Tensor.t) list
-(** After a backward pass: gradients for {!params_lora}. *)
-
 val pretrain_grads :
   t -> bound -> (Dpoaf_tensor.Optim.param * Dpoaf_tensor.Tensor.t) list
-
-val step_logprob :
-  ?impl:impl ->
-  t ->
-  bound ->
-  context:int list ->
-  allowed:int list ->
-  target:int ->
-  Dpoaf_tensor.Autodiff.t
-(** Log-probability (scalar node) of [target] among [allowed] (renormalized
-    over the allowed set).  @raise Invalid_argument if [target] is not
-    allowed or [allowed] is empty. *)
-
-type prompt_state
-(** The differentiable state left by folding a prompt: the Bow context
-    window, or the GRU hidden node after the prompt.  Building it once and
-    scoring several responses from it shares the prompt-prefix work (DPO
-    scores both preference legs from one state). *)
-
-val prompt_state : t -> bound -> prompt:int list -> prompt_state
-
-val response_logprob_node_from :
-  t ->
-  bound ->
-  state:prompt_state ->
-  grammar:Grammar.t ->
-  min_clauses:int ->
-  max_clauses:int ->
-  tokens:int list ->
-  Dpoaf_tensor.Autodiff.t
-(** Differentiable total log-probability of a grammar-accepted response,
-    scored incrementally from a shared {!prompt_state} (always the fused
-    path).  @raise Invalid_argument if the grammar rejects [tokens]. *)
+(** After a backward pass: gradients for the embedding, output base, bias
+    and GRU weights — the tensors MLE pre-training trains. *)
 
 val response_logprob_node :
-  ?impl:impl ->
   t ->
   bound ->
   prompt:int list ->
@@ -143,7 +83,10 @@ val response_logprob_node :
   max_clauses:int ->
   tokens:int list ->
   Dpoaf_tensor.Autodiff.t
-(** Differentiable total log-probability of a grammar-accepted response.
+(** Differentiable total log-probability of a grammar-accepted response:
+    one fused {!Dpoaf_tensor.Autodiff.lora_logit_logprob} node per token
+    over an incrementally extended context (a rolling Bow window, or the
+    GRU recurrence from one prompt fold).
     @raise Invalid_argument if the grammar rejects [tokens]. *)
 
 val response_logprob :
@@ -159,8 +102,9 @@ val response_logprob :
 (** {1 Float forward pass}
 
     The non-differentiable mirror of the hidden-state path, shared by the
-    sampler and the serving layer.  It performs the same float operations
-    as {!hidden_node}, so sampling and scoring agree exactly; states are
+    sampler, the serving layer and fine-tuning's frozen features.  It
+    performs the same float operations as the tape path of
+    {!response_logprob_node}, so sampling and scoring agree exactly; states are
     immutable and safe to cache across domains.  Extending a state is O(1)
     in the sequence length (rolling Bow window / GRU recurrence), which is
     what makes autoregressive generation O(T·d). *)

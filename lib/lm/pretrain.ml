@@ -18,13 +18,6 @@ let nll model ex =
   -.Model.response_logprob model ~prompt:ex.prompt ~grammar:ex.grammar
       ~min_clauses:ex.min_clauses ~max_clauses:ex.max_clauses ~tokens:ex.tokens
 
-let mean_nll model examples =
-  match examples with
-  | [] -> 0.0
-  | _ ->
-      List.fold_left (fun acc ex -> acc +. nll model ex) 0.0 examples
-      /. float_of_int (List.length examples)
-
 (* Arena accounting for pre-training: nodes recorded, summed over batch
    steps, and adjoint buffers served from the pool, added once per run. *)
 let tape_nodes = Dpoaf_exec.Metrics.counter "tape.nodes"

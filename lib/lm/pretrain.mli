@@ -16,8 +16,6 @@ type example = {
 val nll : Model.t -> example -> float
 (** Negative log-likelihood of one example. *)
 
-val mean_nll : Model.t -> example list -> float
-
 val train :
   Model.t ->
   example list ->

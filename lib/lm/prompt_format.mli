@@ -5,14 +5,10 @@
     model only conditions on the plain query, but the full template is kept
     for fidelity (and is what a drop-in Llama-2 backend would consume). *)
 
-val default_system_message : string
-(** The paper's system message ("You are a helpful assistant. …"). *)
-
 val llama2 : ?system_message:string -> string -> string
-(** [llama2 task] renders the template around {!steps_query}. *)
-
-val steps_query : task:string -> string
-(** The bare first-stage query: [Steps for "task":]. *)
+(** [llama2 task] renders the template around the bare first-stage query
+    [Steps for "task":]; [system_message] defaults to the paper's ("You
+    are a helpful assistant. …"). *)
 
 val alignment_query :
   props:string list -> actions:string list -> steps:string list -> string

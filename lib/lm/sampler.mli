@@ -27,10 +27,6 @@ val step_distribution :
     @raise Invalid_argument on an empty allowed set or non-positive
     temperature. *)
 
-val state_distribution :
-  snapshot -> state:state -> allowed:int list -> temperature:float -> float array
-(** As {!step_distribution}, conditioning on a decoding state. *)
-
 val sample_from :
   snapshot ->
   Dpoaf_util.Rng.t ->

@@ -6,9 +6,6 @@
 
 type t
 
-val of_words : string list -> t
-(** Deduplicates and sorts; special tokens are added automatically. *)
-
 val of_texts : string list -> t
 (** Vocabulary from the words of whole phrases/sentences. *)
 

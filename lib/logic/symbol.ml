@@ -6,5 +6,3 @@ let pp ppf s =
   Format.fprintf ppf "{%s}" (String.concat ", " (elements s))
 
 let to_string s = Format.asprintf "%a" pp s
-
-let satisfies_atom s a = mem a s

@@ -13,6 +13,3 @@ val pp : Format.formatter -> t -> unit
 (** Renders as [{a, b}]; the empty symbol renders as [{}]. *)
 
 val to_string : t -> string
-
-val satisfies_atom : t -> string -> bool
-(** [satisfies_atom sym a] is true iff [a ∈ sym]. *)

@@ -18,9 +18,6 @@ val eval_finite : Ltl.t -> step array -> bool
     formulas that are vacuously true ([True], [Always _], [Release _],
     negations thereof). *)
 
-val eval_finite_at : Ltl.t -> step array -> int -> bool
-(** Evaluation starting from an arbitrary position. *)
-
 val eval_lasso : Ltl.t -> prefix:step array -> cycle:step array -> bool
 (** Evaluation of the infinite word [prefix · cycle^ω] at position 0.
     Until/Release are computed as least/greatest fixpoints on the lasso

@@ -121,17 +121,6 @@ val derive_seed : seed:int -> round:int -> attempt:int -> int
     the (round, attempt) coordinates, so every candidate draws from its
     own deterministic stream. *)
 
-val revision_prompt :
-  encode:(string -> int list) ->
-  ?sep:int ->
-  prompt:int list ->
-  (string * string) list ->
-  int list
-(** The original prompt followed by each feedback sentence's encoding
-    (separated by [sep] when given): the token sequence conditioning a
-    repaired candidate.  Out-of-vocabulary feedback words encode as
-    [<unk>]. *)
-
 val conditioned_sampler :
   snapshot:Dpoaf_lm.Sampler.snapshot ->
   encode:(string -> int list) ->
@@ -146,8 +135,10 @@ val conditioned_sampler :
   seed:int ->
   unit ->
   sample_fn
-(** A {!sample_fn} over the language model: builds the
-    {!revision_prompt}, folds it into a decoding state (through
+(** A {!sample_fn} over the language model: builds the revision prompt
+    (the original prompt followed by each feedback sentence's encoding,
+    separated by [sep] when given; out-of-vocabulary feedback words encode
+    as [<unk>]), folds it into a decoding state (through
     [prompt_cache] when given — the serving engine passes its
     [serve.prompt_state.<domain>] cache so repeated feedback prompts skip
     the fold), and grammar-decodes with the {!derive_seed} stream. *)

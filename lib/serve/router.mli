@@ -36,8 +36,6 @@ val shard_name : int -> string
     CLI and benchmarks so per-shard metric names and health rows agree
     everywhere a fleet is built. *)
 
-val shard_count : t -> int
-
 val server : t -> int -> Server.t
 (** The [i]-th replica (0-based). *)
 

@@ -14,12 +14,6 @@ let create rng ~base ~rank =
     rank;
   }
 
-let forward tape _l ~base_node ~a_node ~b_node x =
-  let wx = Autodiff.matvec tape base_node x in
-  let bx = Autodiff.matvec tape b_node x in
-  let abx = Autodiff.matvec tape a_node bx in
-  Autodiff.add tape wx abx
-
 let clone l = { l with a = Tensor.copy l.a; b = Tensor.copy l.b }
 
 let effective l =

@@ -15,18 +15,6 @@ type t = private {
 val create : Dpoaf_util.Rng.t -> base:Tensor.t -> rank:int -> t
 (** @raise Invalid_argument when [base] is not a matrix or [rank < 1]. *)
 
-val forward :
-  Autodiff.Tape.t ->
-  t ->
-  base_node:Autodiff.t ->
-  a_node:Autodiff.t ->
-  b_node:Autodiff.t ->
-  Autodiff.t ->
-  Autodiff.t
-(** [forward tape l ~base_node ~a_node ~b_node x] computes
-    [W x + A (B x)] on the tape.  The caller binds the three matrices as
-    tape nodes ([base_node] typically a [const]). *)
-
 val clone : t -> t
 (** Copies the adapters [A] and [B]; the clone shares the frozen base
     [W] with the original. *)

@@ -56,6 +56,3 @@ let summarize xs =
   | _ ->
       let lo, hi = min_max xs in
       { mean = mean xs; std = stddev xs; min = lo; max = hi; n = List.length xs }
-
-let pp_summary ppf s =
-  Format.fprintf ppf "%.4f ± %.4f [%.4f, %.4f] (n=%d)" s.mean s.std s.min s.max s.n

@@ -23,5 +23,3 @@ val histogram : bins:int -> lo:float -> hi:float -> float list -> int array
 type summary = { mean : float; std : float; min : float; max : float; n : int }
 
 val summarize : float list -> summary
-
-val pp_summary : Format.formatter -> summary -> unit

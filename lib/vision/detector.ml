@@ -12,8 +12,6 @@ let class_name = function
 
 type domain = Sim | Real
 
-let domain_name = function Sim -> "sim" | Real -> "real"
-
 type condition = Clear | Rain | Night
 
 let all_conditions = [ Clear; Rain; Night ]

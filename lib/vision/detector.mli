@@ -17,8 +17,6 @@ val class_name : object_class -> string
 
 type domain = Sim | Real
 
-val domain_name : domain -> string
-
 type condition = Clear | Rain | Night
 
 val all_conditions : condition list
@@ -31,9 +29,6 @@ type detection = {
   confidence : float;  (** in (0,1) *)
   correct : bool;
 }
-
-val detect_one :
-  Dpoaf_util.Rng.t -> domain -> condition -> object_class -> detection
 
 val detect_dataset :
   Dpoaf_util.Rng.t -> domain -> condition -> n:int -> detection list

@@ -1,3 +1,4 @@
+module Kripke = Dpoaf_automata.Kripke
 module Ltl = Dpoaf_logic.Ltl
 module Symbol = Dpoaf_logic.Symbol
 

@@ -1,4 +1,4 @@
-(** Parser and interpreter for the SMV subset written by {!Smv.of_kripke}.
+(** Parser and interpreter for the SMV subset written by {!Dpoaf_automata.Smv.of_kripke}.
 
     Together with the exporter this closes the NuSMV-substitution loop: a
     module can be exported, re-parsed and re-checked, and the verdicts must
@@ -25,7 +25,7 @@
 
 type t = {
   name : string;
-  kripke : Kripke.t;
+  kripke : Dpoaf_automata.Kripke.t;
   specs : (string * Dpoaf_logic.Ltl.t) list;
 }
 

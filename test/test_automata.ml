@@ -1,5 +1,6 @@
 open Dpoaf_logic
 open Dpoaf_automata
+module Smv_reader = Dpoaf_oracle.Smv_reader
 
 let sym atoms = Symbol.of_atoms atoms
 

@@ -139,148 +139,13 @@ let test_vacuous_margin () =
       Alcotest.(check bool) "flagged" true (Pref_data.vacuous_margin p)
   | pairs -> Alcotest.failf "expected one pair, got %d" (List.length pairs)
 
-(* ---------------- the tape oracle ---------------- *)
+(* ---------------- the tape oracles ---------------- *)
 
-(* DPO on an autodiff tape: every step scores both legs of each pair
-   through the model's differentiable path ([Model.Fused] kernels, or the
-   [Unfused] primitive-op composition under [Model.set_default_impl]) and
-   back-propagates the loss.  [Trainer.train] steps on frozen features
-   without a tape and must train exactly like this, bit for bit. *)
-module Oracle = struct
-  module Autodiff = Dpoaf_tensor.Autodiff
-  module Optim = Dpoaf_tensor.Optim
-  module Tensor = Dpoaf_tensor.Tensor
-
-  let pair_loss_node ~policy ~bound ~beta (refs : Dpo.ref_logprobs) pair =
-    let tape = Model.tape_of_bound bound in
-    let lp_w, lp_l =
-      match Model.default_impl () with
-      | Model.Fused ->
-          (* both legs score from one prompt fold *)
-          let state = Model.prompt_state policy bound ~prompt:pair.Pref_data.prompt in
-          let lp tokens =
-            Model.response_logprob_node_from policy bound ~state
-              ~grammar:pair.Pref_data.grammar ~min_clauses:pair.Pref_data.min_clauses
-              ~max_clauses:pair.Pref_data.max_clauses ~tokens
-          in
-          (lp pair.Pref_data.chosen, lp pair.Pref_data.rejected)
-      | Model.Unfused ->
-          let lp tokens =
-            Model.response_logprob_node ~impl:Model.Unfused policy bound
-              ~prompt:pair.Pref_data.prompt ~grammar:pair.Pref_data.grammar
-              ~min_clauses:pair.Pref_data.min_clauses
-              ~max_clauses:pair.Pref_data.max_clauses ~tokens
-          in
-          (lp pair.Pref_data.chosen, lp pair.Pref_data.rejected)
-    in
-    (* x = β((lp_w − lp_l) − (ref_w − ref_l)); loss = softplus(−x) *)
-    let diff = Autodiff.sub tape lp_w lp_l in
-    let shift =
-      Autodiff.const tape (Tensor.scalar (refs.Dpo.ref_chosen -. refs.Dpo.ref_rejected))
-    in
-    let x = Autodiff.scale tape beta (Autodiff.sub tape diff shift) in
-    let loss = Autodiff.softplus tape (Autodiff.neg tape x) in
-    (loss, Tensor.get (Autodiff.value lp_w) 0, Tensor.get (Autodiff.value lp_l) 0)
-
-  let l2_norm tensors =
-    sqrt
-      (List.fold_left
-         (fun acc t ->
-           let s = ref 0.0 in
-           for i = 0 to Tensor.numel t - 1 do
-             let x = Tensor.get t i in
-             s := !s +. (x *. x)
-           done;
-           acc +. !s)
-         0.0 tensors)
-
-  let batch_step ~tape policy opt ~beta refs_pairs =
-    Autodiff.Tape.reset tape;
-    let bound = Model.bind policy tape in
-    let n = float_of_int (List.length refs_pairs) in
-    let results =
-      List.map (fun (refs, pair) -> pair_loss_node ~policy ~bound ~beta refs pair) refs_pairs
-    in
-    let total = Autodiff.add_list tape (List.map (fun (l, _, _) -> l) results) in
-    let mean_loss = Autodiff.scale tape (1.0 /. n) total in
-    Autodiff.backward tape mean_loss;
-    let grads = Model.lora_grads policy bound in
-    let grad_norm = l2_norm (List.map snd grads) in
-    let before =
-      List.map (fun ((p : Optim.param), _) -> Tensor.copy p.Optim.tensor) grads
-    in
-    Optim.Adam.step opt grads;
-    let update_norm =
-      l2_norm
-        (List.map2
-           (fun old ((p : Optim.param), _) ->
-             Tensor.map2 (fun a b -> a -. b) p.Optim.tensor old)
-           before grads)
-    in
-    let acc = Dpoaf_util.Stats.fraction (fun (_, w, l) -> w > l) results in
-    let margin =
-      Dpoaf_util.Stats.mean
-        (List.map2
-           (fun ((refs : Dpo.ref_logprobs), _) (_, w, l) ->
-             w -. refs.Dpo.ref_chosen -. (l -. refs.Dpo.ref_rejected))
-           refs_pairs results)
-    in
-    let logp_gap = Dpoaf_util.Stats.mean (List.map (fun (_, w, l) -> w -. l) results) in
-    ( (Tensor.get (Autodiff.value mean_loss) 0, acc, margin),
-      (logp_gap, grad_norm, update_norm) )
-
-  (* [`Reuse] runs every step on one arena tape, [`Fresh] on a new tape
-     per step. *)
-  let train ?sink ~tape_mode ~reference ~pairs (config : Trainer.config) ~seed =
-    let policy = Model.clone reference in
-    let arr =
-      Array.of_list (List.map (fun pair -> (Dpo.reference_logprobs reference pair, pair)) pairs)
-    in
-    let opt = Optim.Adam.create ~lr:config.Trainer.lr () in
-    let rng = Rng.create seed in
-    let checkpoints = ref [ (0, reference) ] in
-    let stats = ref [] in
-    let global_step = ref 0 in
-    let run_tape = Autodiff.Tape.create () in
-    for epoch = 1 to config.Trainer.epochs do
-      if config.Trainer.shuffle_each_epoch then Rng.shuffle rng arr;
-      let n = Array.length arr in
-      let totals = ref [] in
-      let i = ref 0 in
-      while !i < n do
-        let size = min config.Trainer.batch (n - !i) in
-        let tape =
-          match tape_mode with `Reuse -> run_tape | `Fresh -> Autodiff.Tape.create ()
-        in
-        let ((loss, accuracy, margin) as triple), (logp_gap, grad_norm, update_norm) =
-          batch_step ~tape policy opt ~beta:config.Trainer.beta
-            (Array.to_list (Array.sub arr !i size))
-        in
-        incr global_step;
-        Option.iter
-          (fun emit ->
-            emit
-              { Trainer.seed; epoch; step = !global_step; loss; accuracy; margin;
-                logp_gap; grad_norm; update_norm; seconds = 0.0 })
-          sink;
-        totals := (triple, size) :: !totals;
-        i := !i + size
-      done;
-      let weight f =
-        let total = List.fold_left (fun acc (_, s) -> acc + s) 0 !totals in
-        List.fold_left (fun acc (t, s) -> acc +. (f t *. float_of_int s)) 0.0 !totals
-        /. float_of_int (max 1 total)
-      in
-      stats :=
-        { Trainer.epoch; loss = weight (fun (l, _, _) -> l);
-          accuracy = weight (fun (_, a, _) -> a); margin = weight (fun (_, _, m) -> m) }
-        :: !stats;
-      if config.Trainer.checkpoint_every > 0 && epoch mod config.Trainer.checkpoint_every = 0
-      then checkpoints := (epoch, Model.clone policy) :: !checkpoints
-    done;
-    { Trainer.seed; stats = List.rev !stats; checkpoints = List.rev !checkpoints;
-      final = policy }
-end
+(* The tape DPO and REINFORCE steps, the tape scoring path with its fused
+   and unfused kernels, and DPO evaluation live in test/oracle. *)
+module Tape_model = Dpoaf_oracle.Tape_model
+module Tape_dpo = Dpoaf_oracle.Tape_dpo
+module Tape_reinforce = Dpoaf_oracle.Tape_reinforce
 
 (* Everything a run computes, as bits: per-epoch stats, step records
    without their wall time, and each checkpoint's and the final adapter. *)
@@ -314,8 +179,9 @@ let recorded_bits train =
 let production ~reference ~pairs config ~seed =
   recorded_bits (fun sink -> Trainer.train ~sink ~reference ~pairs config ~seed)
 
-let oracle ~tape_mode ~reference ~pairs config ~seed =
-  recorded_bits (fun sink -> Oracle.train ~sink ~tape_mode ~reference ~pairs config ~seed)
+let oracle ~kernel ~tape_mode ~reference ~pairs config ~seed =
+  recorded_bits (fun sink ->
+      Tape_dpo.train ~sink ~kernel ~tape_mode ~reference ~pairs config ~seed)
 
 (* ---------------- loss and metrics ---------------- *)
 
@@ -324,27 +190,29 @@ let test_initial_margin_zero () =
   let reference = make_model 5 in
   let policy = Model.clone reference in
   let pair = mk_pair [ "if green go" ] [ "turn right" ] in
-  let stats = Dpo.evaluate ~policy ~reference ~beta:0.5 [ pair ] in
-  Alcotest.(check (float 1e-9)) "margin 0" 0.0 stats.Dpo.margin;
-  Alcotest.(check (float 1e-9)) "loss log 2" (log 2.0) stats.Dpo.loss
+  let stats = Tape_dpo.evaluate ~policy ~reference ~beta:0.5 [ pair ] in
+  Alcotest.(check (float 1e-9)) "margin 0" 0.0 stats.Tape_dpo.margin;
+  Alcotest.(check (float 1e-9)) "loss log 2" (log 2.0) stats.Tape_dpo.loss
 
 let test_loss_node_matches_evaluate () =
   let reference = make_model 6 in
   let policy = make_model 7 in
   let pair = mk_pair [ "if green go" ] [ "turn right" ] in
-  let refs = Dpo.reference_logprobs reference pair in
+  let refs = Tape_dpo.reference_logprobs reference pair in
   let tape = Dpoaf_tensor.Autodiff.Tape.create () in
-  let bound = Model.bind policy tape in
-  let loss_node, _, _ = Oracle.pair_loss_node ~policy ~bound ~beta:0.5 refs pair in
-  let stats = Dpo.evaluate ~policy ~reference ~beta:0.5 [ pair ] in
+  let bound = Tape_model.bind policy tape in
+  let loss_node, _, _ =
+    Tape_dpo.pair_loss_node ~kernel:Tape_model.Fused ~policy ~bound ~beta:0.5 refs pair
+  in
+  let stats = Tape_dpo.evaluate ~policy ~reference ~beta:0.5 [ pair ] in
   Alcotest.(check (float 1e-9)) "node = eval"
-    stats.Dpo.loss
+    stats.Tape_dpo.loss
     (Dpoaf_tensor.Tensor.get (Dpoaf_tensor.Autodiff.value loss_node) 0)
 
 let test_evaluate_empty () =
   let m = make_model 1 in
-  let stats = Dpo.evaluate ~policy:m ~reference:m ~beta:0.5 [] in
-  Alcotest.(check (float 0.0)) "zero" 0.0 stats.Dpo.loss
+  let stats = Tape_dpo.evaluate ~policy:m ~reference:m ~beta:0.5 [] in
+  Alcotest.(check (float 0.0)) "zero" 0.0 stats.Tape_dpo.loss
 
 (* ---------------- training ---------------- *)
 
@@ -379,9 +247,9 @@ let test_training_improves_metrics () =
   Alcotest.(check bool) "margin positive" true (last.Trainer.margin > 0.0);
   (* fine-tuned policy prefers all chosen responses *)
   let stats =
-    Dpo.evaluate ~policy:run.Trainer.final ~reference ~beta:0.5 pairs
+    Tape_dpo.evaluate ~policy:run.Trainer.final ~reference ~beta:0.5 pairs
   in
-  Alcotest.(check bool) "final accuracy 1" true (stats.Dpo.accuracy >= 0.99)
+  Alcotest.(check bool) "final accuracy 1" true (stats.Tape_dpo.accuracy >= 0.99)
 
 let test_training_only_updates_lora () =
   let reference = make_model 13 in
@@ -425,9 +293,9 @@ let test_tape_mode_bitwise_identical () =
   let run f = f ~reference ~pairs (quick_config 8) ~seed:5 in
   let trainer = run production in
   Alcotest.(check bool) "trainer = oracle on a reused tape" true
-    (trainer = run (oracle ~tape_mode:`Reuse));
+    (trainer = run (oracle ~kernel:Tape_model.Fused ~tape_mode:`Reuse));
   Alcotest.(check bool) "trainer = oracle on fresh tapes" true
-    (trainer = run (oracle ~tape_mode:`Fresh))
+    (trainer = run (oracle ~kernel:Tape_model.Fused ~tape_mode:`Fresh))
 
 let test_unfused_fresh_equals_fused_reuse () =
   (* both kernel axes at once: the trainer equals the unfused composition
@@ -435,15 +303,11 @@ let test_unfused_fresh_equals_fused_reuse () =
   let pairs = training_pairs () in
   let reference = make_model 31 in
   let run f = f ~reference ~pairs (quick_config 8) ~seed:7 in
-  let with_impl impl f =
-    Model.set_default_impl impl;
-    Fun.protect ~finally:(fun () -> Model.set_default_impl Model.Fused) f
-  in
   let trainer = run production in
   Alcotest.(check bool) "trainer = unfused fresh" true
-    (trainer = with_impl Model.Unfused (fun () -> run (oracle ~tape_mode:`Fresh)));
+    (trainer = run (oracle ~kernel:Tape_model.Unfused ~tape_mode:`Fresh));
   Alcotest.(check bool) "trainer = fused reuse" true
-    (trainer = run (oracle ~tape_mode:`Reuse))
+    (trainer = run (oracle ~kernel:Tape_model.Fused ~tape_mode:`Reuse))
 
 (* Random pairs on Bow and GRU models, batch sizes that do not divide the
    pair count, shuffling on and off: the trainer and the tape oracle
@@ -471,7 +335,7 @@ let prop_trainer_matches_oracle =
       in
       let seed = Rng.int rng 1000 in
       production ~reference ~pairs config ~seed
-      = oracle ~tape_mode:`Reuse ~reference ~pairs config ~seed)
+      = oracle ~kernel:Tape_model.Fused ~tape_mode:`Reuse ~reference ~pairs config ~seed)
 
 let test_reference_safety () =
   (* a GRU reference, so every kind of frozen tensor is covered *)
@@ -532,8 +396,8 @@ let test_epoch0_checkpoint_is_reference () =
   match run.Trainer.checkpoints with
   | (0, m0) :: _ ->
       let pair = mk_pair [ "if green go" ] [ "turn right" ] in
-      let stats = Dpo.evaluate ~policy:m0 ~reference ~beta:0.5 [ pair ] in
-      Alcotest.(check (float 1e-9)) "identical to reference" 0.0 stats.Dpo.margin
+      let stats = Tape_dpo.evaluate ~policy:m0 ~reference ~beta:0.5 [ pair ] in
+      Alcotest.(check (float 1e-9)) "identical to reference" 0.0 stats.Tape_dpo.margin
   | _ -> Alcotest.fail "missing epoch-0 checkpoint"
 
 let test_step_records_stream () =
@@ -633,6 +497,54 @@ let test_reinforce_reference_untouched () =
   Alcotest.(check bool) "reference tensors unchanged" true
     (List.for_all2 (fun a b -> a.T.data = b.T.data) (tensors reference) before)
 
+(* Random tasks on Bow and GRU models, rewards of which some give a task
+   all-zero advantages, temperatures other than 1 and either tape kernel:
+   the frozen-feature REINFORCE step equals the tape oracle bit for bit,
+   in every epoch's mean reward and in the final adapter. *)
+let prop_reinforce_matches_oracle =
+  QCheck.Test.make ~count:100 ~name:"reinforce = tape oracle bit for bit" QCheck.small_nat
+    (fun seed ->
+      let rng = Rng.create (seed + 1) in
+      let arch = if Rng.int rng 2 = 0 then Model.Bow else Model.Gru in
+      let reference =
+        Model.create (Rng.create (Rng.int rng 1000))
+          { Model.dim = 6; context = 1 + Rng.int rng 6; lora_rank = 1 + Rng.int rng 3; arch }
+          vocab
+      in
+      let rewards =
+        [|
+          (fun _ -> 0.5);
+          (fun tokens -> float_of_int (List.length tokens mod 3) /. 2.0);
+          (fun tokens -> if List.mem (Vocab.id vocab "red") tokens then 1.0 else 0.0);
+          (fun tokens -> float_of_int (List.fold_left ( + ) 0 tokens mod 7) /. 6.0);
+        |]
+      in
+      let prompts = [| prompt; Vocab.encode vocab "observe the light" |] in
+      let tasks =
+        List.init (1 + Rng.int rng 3) (fun _ ->
+            { Reinforce.prompt = prompts.(Rng.int rng 2); grammar; min_clauses = 1;
+              max_clauses = 1 + Rng.int rng 3; reward = rewards.(Rng.int rng 4) })
+      in
+      let config =
+        { Reinforce.lr = 0.05; epochs = 1 + Rng.int rng 4;
+          samples_per_task = 2 + Rng.int rng 4;
+          temperature = [| 0.5; 0.8; 1.0; 1.5 |].(Rng.int rng 4) }
+      in
+      let kernel = if Rng.int rng 2 = 0 then Tape_model.Fused else Tape_model.Unfused in
+      let seed = Rng.int rng 1000 in
+      let bits (run : Reinforce.run) =
+        let out = run.Reinforce.final.Model.out in
+        ( List.map
+            (fun (s : Reinforce.epoch_stats) ->
+              (s.Reinforce.epoch, Int64.bits_of_float s.Reinforce.mean_reward))
+            run.Reinforce.stats,
+          Array.map Int64.bits_of_float
+            (Array.append out.Dpoaf_tensor.Lora.a.Dpoaf_tensor.Tensor.data
+               out.Dpoaf_tensor.Lora.b.Dpoaf_tensor.Tensor.data) )
+      in
+      bits (Reinforce.train ~reference ~tasks config ~seed)
+      = bits (Tape_reinforce.train ~kernel ~reference ~tasks config ~seed))
+
 let () =
   Alcotest.run "dpo"
     [
@@ -669,5 +581,6 @@ let () =
         [
           Alcotest.test_case "improves reward" `Slow test_reinforce_improves_reward;
           Alcotest.test_case "reference untouched" `Quick test_reinforce_reference_untouched;
+          QCheck_alcotest.to_alcotest prop_reinforce_matches_oracle;
         ] );
     ]

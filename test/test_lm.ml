@@ -1,5 +1,6 @@
 open Dpoaf_lm
 module Rng = Dpoaf_util.Rng
+module Tape_model = Dpoaf_oracle.Tape_model
 
 let clauses = [ "observe the light"; "if green go"; "if red stop"; "turn right" ]
 
@@ -315,8 +316,10 @@ let test_gru_sampler_matches_node_path () =
   List.iteri
     (fun k target ->
       let tape = Dpoaf_tensor.Autodiff.Tape.create () in
-      let bound = Model.bind model tape in
-      let node = Model.step_logprob model bound ~context ~allowed ~target in
+      let bound = Tape_model.bind model tape in
+      let node =
+        Tape_model.step_logprob ~kernel:Tape_model.Fused model bound ~context ~allowed ~target
+      in
       let p_node = exp (Dpoaf_tensor.Tensor.get (Dpoaf_tensor.Autodiff.value node) 0) in
       Alcotest.(check (float 1e-9))
         (Printf.sprintf "token %d" target)
@@ -475,8 +478,10 @@ let check_fwd_matches_node model =
   in
   let float_h = Model.Fwd.hidden_of_context model context in
   let tape = Autodiff.Tape.create () in
-  let bound = Model.bind model tape in
-  let node_h = Autodiff.value (Model.hidden_node model bound ~context) in
+  let bound = Tape_model.bind model tape in
+  let node_h =
+    Autodiff.value (Tape_model.hidden_node ~kernel:Tape_model.Fused model bound ~context)
+  in
   Alcotest.(check bool) "fwd = node bits" true
     (bits_equal_arrays float_h node_h.Tensor.data)
 
@@ -497,19 +502,30 @@ let check_fused_unfused_response model =
   let tokens =
     Grammar.tokens_of_steps v [ "observe the light"; "if red stop" ]
   in
-  let run impl =
+  let run score grads =
     let tape = Autodiff.Tape.create () in
-    let bound = Model.bind model tape in
-    let lp =
-      Model.response_logprob_node ~impl model bound ~prompt ~grammar:g
-        ~min_clauses:1 ~max_clauses:3 ~tokens
-    in
+    let lp, bound = score tape in
     Autodiff.backward tape lp;
-    ( Tensor.get (Autodiff.value lp) 0,
-      List.map (fun (_, grad) -> Tensor.copy grad) (Model.pretrain_grads model bound) )
+    (Tensor.get (Autodiff.value lp) 0, List.map Tensor.copy (grads bound))
   in
-  let v_f, g_f = run Model.Fused in
-  let v_u, g_u = run Model.Unfused in
+  let v_f, g_f =
+    run
+      (fun tape ->
+        let bound = Model.bind model tape in
+        ( Model.response_logprob_node model bound ~prompt ~grammar:g ~min_clauses:1
+            ~max_clauses:3 ~tokens,
+          bound ))
+      (fun bound -> List.map snd (Model.pretrain_grads model bound))
+  in
+  let v_u, g_u =
+    run
+      (fun tape ->
+        let bound = Tape_model.bind model tape in
+        ( Tape_model.response_logprob_node ~kernel:Tape_model.Unfused model bound ~prompt
+            ~grammar:g ~min_clauses:1 ~max_clauses:3 ~tokens,
+          bound ))
+      Tape_model.pretrain_grads
+  in
   Alcotest.(check bool) "value bits" true
     (Int64.bits_of_float v_f = Int64.bits_of_float v_u);
   List.iteri
@@ -702,6 +718,46 @@ let test_checkpoint_truncated_payload () =
   Alcotest.(check bool) "reason says truncated/corrupt" true
     (contains reason "truncated")
 
+(* A checkpoint cut at any byte is a [Corrupt] naming the file, never
+   another exception. *)
+let test_checkpoint_truncated_every_offset () =
+  let model = make_model ~dim:2 ~rank:1 43 (Vocab.of_texts [ "go now" ]) in
+  let path = Filename.temp_file "dpoaf_cut" ".ckpt" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Checkpoint.save model path;
+  let ic = open_in_bin path in
+  let bytes = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  for len = 0 to String.length bytes - 1 do
+    let oc = open_out_bin path in
+    output_string oc (String.sub bytes 0 len);
+    close_out oc;
+    ignore
+      (expect_corrupt (Printf.sprintf "cut at %d" len) path (fun () -> Checkpoint.load path))
+  done
+
+(* [save] writes beside the target and renames: no temporary file is left,
+   whether the save succeeds or the rename fails. *)
+let test_checkpoint_save_leaves_no_temp () =
+  let model = make_model 44 (make_vocab ()) in
+  let dir = Filename.temp_dir "dpoaf_save" "" in
+  let entries () = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  let path = Filename.concat dir "m.ckpt" in
+  Checkpoint.save model path;
+  Checkpoint.save model path;
+  Alcotest.(check (list string)) "only the checkpoint" [ "m.ckpt" ] (entries ());
+  ignore (Checkpoint.load path);
+  (* renaming a file over a directory fails after the write *)
+  let blocked = Filename.concat dir "d" in
+  Sys.mkdir blocked 0o755;
+  (match Checkpoint.save model blocked with
+  | () -> Alcotest.fail "save over a directory succeeded"
+  | exception Sys_error _ -> ());
+  Alcotest.(check (list string)) "temporary file removed" [ "d"; "m.ckpt" ] (entries ());
+  Sys.rmdir blocked;
+  Sys.remove path;
+  Sys.rmdir dir
+
 let () =
   Alcotest.run "lm"
     [
@@ -746,6 +802,10 @@ let () =
             test_checkpoint_version_mismatch;
           Alcotest.test_case "truncated payload" `Quick
             test_checkpoint_truncated_payload;
+          Alcotest.test_case "truncated at every offset" `Quick
+            test_checkpoint_truncated_every_offset;
+          Alcotest.test_case "save leaves no temp file" `Quick
+            test_checkpoint_save_leaves_no_temp;
         ] );
       ( "prompt-format",
         [

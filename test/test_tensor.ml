@@ -250,10 +250,10 @@ let test_lora_forward_matches_effective () =
   let x = Tensor.vector [| 0.3; -0.2; 0.9 |] in
   let tape = Autodiff.Tape.create () in
   let forward =
-    Lora.forward tape l
-      ~base_node:(Autodiff.const tape l.Lora.base)
-      ~a_node:(Autodiff.var tape l.Lora.a)
-      ~b_node:(Autodiff.var tape l.Lora.b)
+    Dpoaf_oracle.Tape_model.lora_forward tape
+      ~base:(Autodiff.const tape l.Lora.base)
+      ~a:(Autodiff.var tape l.Lora.a)
+      ~b:(Autodiff.var tape l.Lora.b)
       (Autodiff.const tape x)
   in
   let eff = Lora.effective l in
