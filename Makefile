@@ -74,18 +74,17 @@ trace-check:
 	dune exec test/trace_validate.exe -- _build/trace-check.jsonl _build/trace-check.metrics.json
 	dune exec bin/dpoaf_cli.exe -- report _build/trace-check.jsonl
 
-# Fused-kernel gate: the bit-identity differential suites.  The fused
-# tape nodes equal the primitive-op composition and a reused arena equals
-# fresh tapes (test_tensor); production tape scoring equals the unfused
-# composition of the test/oracle library, and incremental decoding equals
-# full-context and from-scratch decoding (test_lm); the frozen-feature
-# DPO trainer and REINFORCE step equal their tape oracles in
-# test/oracle, on both kernels, including the qcheck properties over Bow
-# and GRU models (test_dpo).  See docs/performance.md.
+# Hand-written gradient gate: the bit-identity differential suites.
+# Closed-form pre-training equals the tape oracle in every epoch's loss
+# and every trained tensor (test_lm pretrain); incremental decoding equals
+# full-context and from-scratch decoding (test_lm incremental); the
+# frozen-feature DPO trainer and REINFORCE step equal their tape oracles
+# (test_dpo).  The qcheck properties cover Bow and GRU models; the tape
+# and its primitive-op composition live in test/oracle.  See
+# docs/performance.md.
 kernels-check:
-	dune build test/test_tensor.exe test/test_lm.exe test/test_dpo.exe
-	dune exec test/test_tensor.exe -- test 'fused kernels'
-	dune exec test/test_tensor.exe -- test 'tape reuse'
+	dune build test/test_lm.exe test/test_dpo.exe
+	dune exec test/test_lm.exe -- test pretrain
 	dune exec test/test_lm.exe -- test incremental
 	dune exec test/test_dpo.exe -- test trainer
 	dune exec test/test_dpo.exe -- test reinforce

@@ -3,6 +3,15 @@ module Symbol = Dpoaf_logic.Symbol
 module Fset = Set.Make (Ltl)
 module Iset = Set.Make (Int)
 
+(* Completed nodes are found by their [(old, next)] pair. *)
+module Key_map = Map.Make (struct
+  type t = Fset.t * Fset.t
+
+  let compare (o1, n1) (o2, n2) =
+    let c = Fset.compare o1 o2 in
+    if c <> 0 then c else Fset.compare n1 n2
+end)
+
 (* A tableau node under construction.  [incoming] holds the names of
    completed predecessor nodes (0 is the virtual initial node). *)
 type node = {
@@ -13,7 +22,7 @@ type node = {
   next : Fset.t;
 }
 
-type completed = { c_name : int; c_incoming : Iset.t ref; c_old : Fset.t; c_next : Fset.t }
+type completed = { c_name : int; c_incoming : Iset.t ref; c_old : Fset.t }
 
 let init_name = 0
 
@@ -22,13 +31,10 @@ let gnba_of_ltl formula =
   let counter = ref 0 in
   let fresh () = incr counter; !counter in
   let completed : completed list ref = ref [] in
+  let by_key = ref Key_map.empty in
   let rec expand node =
     if Fset.is_empty node.new_ then
-      match
-        List.find_opt
-          (fun c -> Fset.equal c.c_old node.old && Fset.equal c.c_next node.next)
-          !completed
-      with
+      match Key_map.find_opt (node.old, node.next) !by_key with
       | Some c -> c.c_incoming := Iset.union !(c.c_incoming) node.incoming
       | None ->
           let c =
@@ -36,10 +42,10 @@ let gnba_of_ltl formula =
               c_name = node.name;
               c_incoming = ref node.incoming;
               c_old = node.old;
-              c_next = node.next;
             }
           in
           completed := c :: !completed;
+          by_key := Key_map.add (node.old, node.next) c !by_key;
           expand
             {
               name = fresh ();

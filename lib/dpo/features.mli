@@ -9,8 +9,9 @@
     logits and closed-form gradients for [A] and [B], with no autodiff
     tape.
 
-    Both are bit-identical to scoring the response on a tape with
-    {!Dpoaf_tensor.Autodiff.lora_logit_logprob} and back-propagating
+    Both are bit-identical to scoring the response with the head's
+    primitive-op composition on the autodiff tape of the test-only
+    reference library ([test/oracle], [Tape_model]) and back-propagating
     through it: the same float operations, the gradients accumulated in
     the tape's reverse order (positions last to first) with its [0.0 +.]
     adds and [<> 0.0] skips.  A caller that backs several legs up must

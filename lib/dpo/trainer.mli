@@ -95,8 +95,9 @@ val train :
     and its reference log-probabilities are computed once up front.  A
     step computes the adapter logits and closed-form adapter gradients
     from them, with no autodiff tape; it is bit-identical to
-    back-propagating the DPO loss through
-    {!Dpoaf_tensor.Autodiff.lora_logit_logprob} on a tape. *)
+    back-propagating the DPO loss through the LoRA head's primitive-op
+    composition on the autodiff tape of the test-only reference library
+    ([test/oracle], [Tape_dpo]). *)
 
 val train_seeds :
   ?jobs:int ->

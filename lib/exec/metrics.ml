@@ -402,8 +402,6 @@ let runtime_gauges () =
     ("gc.heap_words", float_of_int st.Gc.heap_words);
     ("gc.live_words", float_of_int st.Gc.live_words);
     ("gc.top_heap_words", float_of_int st.Gc.top_heap_words);
-    ("tape.nodes", float_of_int (value (counter "tape.nodes")));
-    ("tape.buffer_reuse", float_of_int (value (counter "tape.buffer_reuse")));
   ]
 
 (* ---------------- summary ---------------- *)

@@ -135,8 +135,7 @@ val snapshot_of_json : Dpoaf_util.Json.t -> (hist_snapshot, string) result
 val runtime_gauges : unit -> (string * float) list
 (** GC and allocator-pressure readings sampled now: [gc.minor_heap_words],
     [gc.minor_collections], [gc.major_collections], [gc.compactions],
-    [gc.heap_words], [gc.live_words], [gc.top_heap_words], plus the
-    autodiff-tape counters [tape.nodes] and [tape.buffer_reuse].  Calls
+    [gc.heap_words], [gc.live_words] and [gc.top_heap_words].  Calls
     [Gc.stat], which triggers a major collection — meant for ops-plane
     queries, not hot paths. *)
 

@@ -1,5 +1,4 @@
 module Tensor = Dpoaf_tensor.Tensor
-module Autodiff = Dpoaf_tensor.Autodiff
 module Lora = Dpoaf_tensor.Lora
 module Optim = Dpoaf_tensor.Optim
 
@@ -78,70 +77,6 @@ let context_of t ~prompt ~prefix =
       if n <= k then all
       else List.filteri (fun i _ -> i >= n - k) all
 
-type bound = {
-  tape : Autodiff.Tape.t;
-  emb : Autodiff.t;
-  base : Autodiff.t;
-  a : Autodiff.t;
-  b : Autodiff.t;
-  bias_n : Autodiff.t;
-  gru_n : Autodiff.t list;  (* same order as gru_tensors; [] for Bow *)
-}
-
-let bind t tape =
-  {
-    tape;
-    emb = Autodiff.var tape t.embedding;
-    base = Autodiff.var tape t.out.Lora.base;
-    a = Autodiff.var tape t.out.Lora.a;
-    b = Autodiff.var tape t.out.Lora.b;
-    bias_n = Autodiff.var tape t.bias;
-    gru_n =
-      (match t.gru with
-      | None -> []
-      | Some g -> List.map (Autodiff.var tape) (gru_tensors g));
-  }
-
-let pretrain_grads t bound =
-  match params_pretrain t with
-  | pe :: pw :: pbias :: gru_params ->
-      [
-        (pe, Autodiff.grad bound.emb);
-        (pw, Autodiff.grad bound.base);
-        (pbias, Autodiff.grad bound.bias_n);
-      ]
-      @ List.map2 (fun p node -> (p, Autodiff.grad node)) gru_params bound.gru_n
-  | _ -> assert false
-
-(* One GRU update: h' = (1-z)âh + zâtanh(Wh x + Uh (râh) + bh). *)
-let gru_step_node t bound h tok =
-  let tape = bound.tape in
-  match bound.gru_n with
-  | [ wz; uz; bz; wr; ur; br; wh; uh; bh ] ->
-      let d = t.config.dim in
-      let ones = Autodiff.const tape (Tensor.create [| d |] 1.0) in
-      let x = Autodiff.rows_mean tape bound.emb [ tok ] in
-      let gate w u bias_v =
-        Autodiff.add tape
-          (Autodiff.add tape (Autodiff.matvec tape w x) (Autodiff.matvec tape u h))
-          bias_v
-      in
-      let z = Autodiff.sigmoid tape (gate wz uz bz) in
-      let r = Autodiff.sigmoid tape (gate wr ur br) in
-      let rh = Autodiff.mul tape r h in
-      let candidate =
-        Autodiff.tanh_ tape
-          (Autodiff.add tape
-             (Autodiff.add tape (Autodiff.matvec tape wh x) (Autodiff.matvec tape uh rh))
-             bh)
-      in
-      let keep = Autodiff.sub tape ones z in
-      Autodiff.add tape (Autodiff.mul tape keep h) (Autodiff.mul tape z candidate)
-  | _ -> invalid_arg "Model.gru_step_node: not a GRU model"
-
-let gru_init_node t bound =
-  Autodiff.const bound.tape (Tensor.zeros [| t.config.dim |])
-
 (* The rolling Bow context: pushing [tok] onto a window kept at
    [context_of]'s value gives exactly [context_of] for the longer prefix,
    without rebuilding the list — the O(T²) → O(T) step. *)
@@ -149,67 +84,11 @@ let bow_push t window tok =
   let w = window @ [ tok ] in
   if List.length w > t.config.context then List.tl w else w
 
-(* The differentiable state left by folding a prompt. *)
-type prompt_state = P_bow of int list | P_gru of Autodiff.t
-
-(* Every scored token is one fused [lora_logit_logprob] node over an
-   incrementally extended context: the rolling Bow window (its hidden node
-   rebuilt by the fused [bow_hidden]) or the GRU recurrence. *)
-let response_logprob_node t bound ~prompt ~grammar ~min_clauses ~max_clauses ~tokens =
-  let tape = bound.tape in
-  let rec walk gstate pstate acc = function
-    | [] ->
-        if Grammar.is_final grammar gstate then acc
-        else invalid_arg "Model.response_logprob_node: incomplete response"
-    | tok :: rest -> (
-        let allowed = Grammar.allowed grammar ~min_clauses ~max_clauses gstate in
-        match Grammar.advance grammar gstate tok with
-        | None -> invalid_arg "Model.response_logprob_node: grammar rejects token"
-        | Some gstate' ->
-            let h =
-              match pstate with
-              | P_bow window -> Autodiff.bow_hidden tape bound.emb window
-              | P_gru hn -> hn
-            in
-            let target_pos =
-              match List.find_index (fun r -> r = tok) allowed with
-              | Some i -> i
-              | None -> invalid_arg "Model.response_logprob_node: target not allowed"
-            in
-            let lp =
-              Autodiff.lora_logit_logprob tape ~base:bound.base ~a:bound.a ~b:bound.b
-                ~bias:bound.bias_n ~h ~allowed ~target_pos
-            in
-            let pstate' =
-              match pstate with
-              | P_bow window -> P_bow (bow_push t window tok)
-              | P_gru hn -> P_gru (gru_step_node t bound hn tok)
-            in
-            walk gstate' pstate' (lp :: acc) rest)
-  in
-  let state =
-    match t.config.arch with
-    | Bow -> P_bow (context_of t ~prompt ~prefix:[])
-    | Gru ->
-        P_gru
-          (List.fold_left (gru_step_node t bound) (gru_init_node t bound)
-             (Vocab.bos t.vocab :: prompt))
-  in
-  Autodiff.add_list tape (walk (Grammar.start grammar) state [] tokens)
-
-let response_logprob t ~prompt ~grammar ~min_clauses ~max_clauses ~tokens =
-  let tape = Autodiff.Tape.create () in
-  let bound = bind t tape in
-  let node =
-    response_logprob_node t bound ~prompt ~grammar ~min_clauses ~max_clauses ~tokens
-  in
-  Tensor.get (Autodiff.value node) 0
-
-(* Float (non-differentiable) forward pass, shared by the sampler and the
-   serving layer.  Mirrors the autodiff hidden path operation-for-operation
-   so sampled distributions agree with scored log-probabilities; the
-   differential test in test/test_lm.ml pins the two together.  States are
-   immutable, so they can be cached and shared across domains. *)
+(* The forward pass, shared by the sampler, the serving layer and
+   training.  Mirrors the tape oracle's hidden path operation for
+   operation, so sampled distributions agree with scored log-probabilities;
+   the differential tests in test/test_lm.ml pin the two together.  States
+   are immutable, so they can be cached and shared across domains. *)
 module Fwd = struct
   type state = Bow_w of int list | Gru_h of float array
 
@@ -229,7 +108,9 @@ module Fwd = struct
 
   let sigmoid x = 1.0 /. (1.0 +. exp (-.x))
 
-  let gru_step t g h tok =
+  type gates = { z : float array; r : float array; candidate : float array; next : float array }
+
+  let gru_gates_of t g h tok =
     let d = t.config.dim in
     let matvec (m : Tensor.t) v =
       let md = m.Tensor.data in
@@ -254,7 +135,17 @@ module Fwd = struct
     let wx = matvec g.wh x and uh = matvec g.uh rh in
     let bhd = g.bh.Tensor.data in
     let candidate = Array.init d (fun j -> tanh (wx.(j) +. uh.(j) +. bhd.(j))) in
-    Array.init d (fun j -> ((1.0 -. z.(j)) *. h.(j)) +. (z.(j) *. candidate.(j)))
+    let next =
+      Array.init d (fun j -> ((1.0 -. z.(j)) *. h.(j)) +. (z.(j) *. candidate.(j)))
+    in
+    { z; r; candidate; next }
+
+  let gru_step t g h tok = (gru_gates_of t g h tok).next
+
+  let gru_gates t h tok =
+    match t.gru with
+    | Some g -> gru_gates_of t g h tok
+    | None -> invalid_arg "Model.Fwd.gru_gates: not a GRU model"
 
   let gru_fold t g context =
     List.fold_left (gru_step t g) (Array.make t.config.dim 0.0) context

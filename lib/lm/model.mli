@@ -54,6 +54,10 @@ val clone : t -> t
     Only {!Pretrain} writes the frozen tensors, so a clone (and the model
     it was cloned from, once cloned) must never be pretrained. *)
 
+val params_pretrain : t -> Dpoaf_tensor.Optim.param list
+(** The tensors pre-training trains: embedding, output base, bias, then
+    the GRU weights [wz uz bz wr ur br wh uh bh] (GRU only). *)
+
 val params_lora : t -> Dpoaf_tensor.Optim.param list
 (** Adapter matrices only — trained during DPO. *)
 
@@ -61,55 +65,19 @@ val context_of : t -> prompt:int list -> prefix:int list -> int list
 (** The (at most [config.context]) token ids conditioning the next token:
     a [<bos>] marker, the prompt, then the response prefix. *)
 
-(** {1 Differentiable scoring} *)
+(** {1 Forward pass}
 
-type bound
-(** Model parameters bound as nodes on one tape (shared across positions of
-    one or more sequences). *)
-
-val bind : t -> Dpoaf_tensor.Autodiff.Tape.t -> bound
-
-val pretrain_grads :
-  t -> bound -> (Dpoaf_tensor.Optim.param * Dpoaf_tensor.Tensor.t) list
-(** After a backward pass: gradients for the embedding, output base, bias
-    and GRU weights — the tensors MLE pre-training trains. *)
-
-val response_logprob_node :
-  t ->
-  bound ->
-  prompt:int list ->
-  grammar:Grammar.t ->
-  min_clauses:int ->
-  max_clauses:int ->
-  tokens:int list ->
-  Dpoaf_tensor.Autodiff.t
-(** Differentiable total log-probability of a grammar-accepted response:
-    one fused {!Dpoaf_tensor.Autodiff.lora_logit_logprob} node per token
-    over an incrementally extended context (a rolling Bow window, or the
-    GRU recurrence from one prompt fold).
-    @raise Invalid_argument if the grammar rejects [tokens]. *)
-
-val response_logprob :
-  t ->
-  prompt:int list ->
-  grammar:Grammar.t ->
-  min_clauses:int ->
-  max_clauses:int ->
-  tokens:int list ->
-  float
-(** Evaluation-only wrapper around {!response_logprob_node}. *)
-
-(** {1 Float forward pass}
-
-    The non-differentiable mirror of the hidden-state path, shared by the
-    sampler, the serving layer and fine-tuning's frozen features.  It
-    performs the same float operations as the tape path of
-    {!response_logprob_node}, so sampling and scoring agree exactly; states are
+    The hidden-state path, shared by the sampler, the serving layer,
+    pre-training and fine-tuning's frozen features.  It performs the same
+    float operations as the primitive-op composition on the autodiff tape
+    of the test-only reference library ([test/oracle], [Tape_model]), so
+    sampling, scoring and training agree exactly; states are
     immutable and safe to cache across domains.  Extending a state is O(1)
     in the sequence length (rolling Bow window / GRU recurrence), which is
     what makes autoregressive generation O(T·d). *)
 module Fwd : sig
-  type state
+  (** The Bow window (the {!context_of} ids) or the GRU hidden state. *)
+  type state = private Bow_w of int list | Gru_h of float array
 
   val init : t -> prompt:int list -> state
   (** The state conditioning the first response token. *)
@@ -120,6 +88,15 @@ module Fwd : sig
   val hidden : t -> state -> float array
   (** The conditioning vector for the next token.  Read-only: the returned
       array may be shared with the state. *)
+
+  (** One GRU step's activations: the update gate [z], the reset gate
+      [r], the candidate and the next hidden state. *)
+  type gates = { z : float array; r : float array; candidate : float array; next : float array }
+
+  val gru_gates : t -> float array -> int -> gates
+  (** [gru_gates m h tok] steps the GRU from [h] on [tok]; [next] is the
+      state {!extend} would reach.
+      @raise Invalid_argument on a Bow model. *)
 
   val hidden_of_context : t -> int list -> float array
   (** The conditioning vector for an explicit context (as produced by

@@ -13,9 +13,6 @@ type example = {
   max_clauses : int;
 }
 
-val nll : Model.t -> example -> float
-(** Negative log-likelihood of one example. *)
-
 val train :
   Model.t ->
   example list ->
@@ -25,6 +22,9 @@ val train :
   Dpoaf_util.Rng.t ->
   float list
 (** Adam training of the pre-training parameters; returns the mean NLL per
-    epoch (shuffled minibatches).  It writes the frozen tensors in place,
+    epoch (shuffled minibatches).  The gradient is written by hand (the
+    head, the Bow window mean, back-propagation through time for the GRU)
+    and is bit for bit the one the autodiff tape of the test-only
+    reference library ([test/oracle], [Tape_pretrain]) computes.  It writes the frozen tensors in place,
     and every {!Model.clone} shares them: pretrain only a fresh model,
     before anything clones it. *)

@@ -1,7 +1,7 @@
 (** Grammar-constrained sampling from the language model.
 
     Sampling uses a parameter snapshot (the LoRA adapter materialized into
-    the output head) so repeated sampling does not rebuild autodiff tapes.
+    the output head) so repeated sampling does not rebuild [W + A·B].
     Decoding is incremental: a {!state} carries the rolling context
     (Bow window or GRU hidden vector, via {!Model.Fwd}), so generating a
     response is linear in its length, and a prompt's state can be built

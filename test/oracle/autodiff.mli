@@ -1,34 +1,17 @@
-(** Tape-based reverse-mode automatic differentiation.
+(** Tape-based reverse-mode automatic differentiation: the reference the
+    hand-written gradients of pre-training and fine-tuning are tested
+    against, bit for bit.
 
     Build a computation on a {!Tape.t}; call {!backward} on a scalar output;
-    read gradients of the leaves with {!grad}.
+    read gradients of the leaves with {!grad}.  A tape belongs to a single
+    domain. *)
 
-    The tape is an arena: nodes live in a growable array, and {!Tape.reset}
-    recycles both the array and the adjoint buffers so a training loop can
-    run every step on one tape without re-allocating gradients.  A tape
-    belongs to a single domain — parallel runs each create their own. *)
+module Tensor = Dpoaf_tensor.Tensor
 
 module Tape : sig
   type t
 
-  (** Cumulative arena accounting, for {!stats}. *)
-  type stats = {
-    live_nodes : int;  (** nodes recorded since the last {!reset} *)
-    buffers_reused : int;  (** adjoint buffers served from the pool *)
-    buffers_allocated : int;  (** adjoint buffers freshly allocated *)
-    resets : int;
-  }
-
   val create : unit -> t
-  val length : t -> int
-
-  val reset : t -> unit
-  (** Drop all nodes and park their adjoint buffers in a shape-keyed pool
-      for reuse by the next pass.  Gradient tensors previously returned by
-      {!grad} on this tape are invalidated: they may be re-zeroed and
-      reused by later nodes.  Read (or copy) gradients before resetting. *)
-
-  val stats : t -> stats
 end
 
 type t
@@ -99,35 +82,6 @@ val pick : Tape.t -> t -> int -> t
 
 (** Sum of scalars; [add_list tape []] is the constant 0. *)
 val add_list : Tape.t -> t list -> t
-
-(** {1 Fused kernels}
-
-    Single-node versions of the LM scoring sub-graphs, with hand-written
-    backwards that replay the unfused composition's float operations in the
-    same order — values and gradients are bit-identical to the reference
-    (the composition of the primitive ops above), just without the
-    intermediate nodes. *)
-
-val bow_hidden : Tape.t -> t -> int list -> t
-(** [bow_hidden tape emb rows] = [tanh_ tape (rows_mean tape emb rows)] as
-    one node. *)
-
-val lora_logit_logprob :
-  Tape.t ->
-  base:t ->
-  a:t ->
-  b:t ->
-  bias:t ->
-  h:t ->
-  allowed:int list ->
-  target_pos:int ->
-  t
-(** The whole LoRA scoring head as one node:
-    [pick (log_softmax (gather_matvec base h allowed
-                        + gather_matvec a (matvec b h) allowed
-                        + gather bias allowed)) target_pos].
-    @raise Invalid_argument on shape mismatch, an empty or out-of-range
-    [allowed] set, or an out-of-range [target_pos]. *)
 
 val backward : Tape.t -> t -> unit
 (** Seed the (scalar) output with gradient 1 and propagate.  Clears

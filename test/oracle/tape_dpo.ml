@@ -1,13 +1,12 @@
 (* DPO on an autodiff tape: every step scores both legs of each pair
-   through {!Tape_model} and back-propagates the loss.  [Trainer.train]
-   steps on frozen features without a tape and must train exactly like
-   this, bit for bit.  [evaluate] scores pairs through the production
-   [Model.response_logprob]. *)
+   through {!Tape_model} on a fresh tape and back-propagates the loss.
+   [Trainer.train] steps on frozen features without a tape and must train
+   exactly like this, bit for bit.  [evaluate] scores pairs on the tape
+   too. *)
 
 module Model = Dpoaf_lm.Model
 module Pref_data = Dpoaf_dpo.Pref_data
 module Trainer = Dpoaf_dpo.Trainer
-module Autodiff = Dpoaf_tensor.Autodiff
 module Optim = Dpoaf_tensor.Optim
 module Tensor = Dpoaf_tensor.Tensor
 module Rng = Dpoaf_util.Rng
@@ -16,7 +15,7 @@ module Stats = Dpoaf_util.Stats
 type ref_logprobs = { ref_chosen : float; ref_rejected : float }
 
 let logprob model (pair : Pref_data.pair) tokens =
-  Model.response_logprob model ~prompt:pair.Pref_data.prompt
+  Tape_model.response_logprob model ~prompt:pair.Pref_data.prompt
     ~grammar:pair.Pref_data.grammar ~min_clauses:pair.Pref_data.min_clauses
     ~max_clauses:pair.Pref_data.max_clauses ~tokens
 
@@ -50,10 +49,10 @@ let evaluate ~policy ~reference ~beta pairs =
       { loss = l /. n; accuracy = a /. n; margin = m /. n }
 
 (* x = β((lp_w − lp_l) − (ref_w − ref_l)); loss = softplus(−x) *)
-let pair_loss_node ~kernel ~policy ~bound ~beta refs (pair : Pref_data.pair) =
+let pair_loss_node ~policy ~bound ~beta refs (pair : Pref_data.pair) =
   let tape = bound.Tape_model.tape in
   let lp tokens =
-    Tape_model.response_logprob_node ~kernel policy bound ~prompt:pair.Pref_data.prompt
+    Tape_model.response_logprob_node policy bound ~prompt:pair.Pref_data.prompt
       ~grammar:pair.Pref_data.grammar ~min_clauses:pair.Pref_data.min_clauses
       ~max_clauses:pair.Pref_data.max_clauses ~tokens
   in
@@ -79,13 +78,13 @@ let l2_norm tensors =
          acc +. !s)
        0.0 tensors)
 
-let batch_step ~kernel ~tape policy opt ~beta refs_pairs =
-  Autodiff.Tape.reset tape;
+let batch_step policy opt ~beta refs_pairs =
+  let tape = Autodiff.Tape.create () in
   let bound = Tape_model.bind policy tape in
   let n = float_of_int (List.length refs_pairs) in
   let results =
     List.map
-      (fun (refs, pair) -> pair_loss_node ~kernel ~policy ~bound ~beta refs pair)
+      (fun (refs, pair) -> pair_loss_node ~policy ~bound ~beta refs pair)
       refs_pairs
   in
   let total = Autodiff.add_list tape (List.map (fun (l, _, _) -> l) results) in
@@ -111,9 +110,8 @@ let batch_step ~kernel ~tape policy opt ~beta refs_pairs =
   let logp_gap = Stats.mean (List.map (fun (_, w, l) -> w -. l) results) in
   ((Tensor.get (Autodiff.value mean_loss) 0, acc, margin), (logp_gap, grad_norm, update_norm))
 
-(* [`Reuse] runs every step on one arena tape, [`Fresh] on a new tape per
-   step.  Step records carry a zero wall time. *)
-let train ?sink ~kernel ~tape_mode ~reference ~pairs (config : Trainer.config) ~seed =
+(* Step records carry a zero wall time. *)
+let train ?sink ~reference ~pairs (config : Trainer.config) ~seed =
   let policy = Model.clone reference in
   let arr =
     Array.of_list (List.map (fun pair -> (reference_logprobs reference pair, pair)) pairs)
@@ -123,7 +121,6 @@ let train ?sink ~kernel ~tape_mode ~reference ~pairs (config : Trainer.config) ~
   let checkpoints = ref [ (0, reference) ] in
   let stats = ref [] in
   let global_step = ref 0 in
-  let run_tape = Autodiff.Tape.create () in
   for epoch = 1 to config.Trainer.epochs do
     if config.Trainer.shuffle_each_epoch then Rng.shuffle rng arr;
     let n = Array.length arr in
@@ -131,9 +128,8 @@ let train ?sink ~kernel ~tape_mode ~reference ~pairs (config : Trainer.config) ~
     let i = ref 0 in
     while !i < n do
       let size = min config.Trainer.batch (n - !i) in
-      let tape = match tape_mode with `Reuse -> run_tape | `Fresh -> Autodiff.Tape.create () in
       let ((loss, accuracy, margin) as triple), (logp_gap, grad_norm, update_norm) =
-        batch_step ~kernel ~tape policy opt ~beta:config.Trainer.beta
+        batch_step policy opt ~beta:config.Trainer.beta
           (Array.to_list (Array.sub arr !i size))
       in
       incr global_step;

@@ -1,21 +1,15 @@
 (* The language model's scoring path on an autodiff tape, composed from
-   scratch: the reference the production kernels are differentially tested
-   against.  [Fused] scores each token with the fused kernels
-   ([Autodiff.bow_hidden], [Autodiff.lora_logit_logprob]) as
-   [Model.response_logprob_node] does; [Unfused] is the original
-   primitive-op composition.  Both rebuild the Bow context from the whole
-   prefix at every position.  Values and gradients are bit-identical
-   between the two kernels and with the production path. *)
+   the primitive ops: the reference the hand-written gradients of
+   pre-training ([Pretrain]) and fine-tuning ([Features]) are
+   differentially tested against.  The Bow context is rebuilt from the
+   whole prefix at every position; the GRU carries its recurrence. *)
 
 module Model = Dpoaf_lm.Model
 module Grammar = Dpoaf_lm.Grammar
 module Vocab = Dpoaf_lm.Vocab
-module Autodiff = Dpoaf_tensor.Autodiff
 module Lora = Dpoaf_tensor.Lora
 module Optim = Dpoaf_tensor.Optim
 module Tensor = Dpoaf_tensor.Tensor
-
-type kernel = Fused | Unfused
 
 type bound = {
   tape : Autodiff.Tape.t;
@@ -48,7 +42,7 @@ let lora_grads m bound =
   List.combine (Model.params_lora m) [ Autodiff.grad bound.a; Autodiff.grad bound.b ]
 
 (* After a backward pass: the gradients of the tensors pre-training
-   trains, in [Model.pretrain_grads] order. *)
+   trains, in [Model.params_pretrain] order. *)
 let pretrain_grads bound =
   List.map Autodiff.grad ([ bound.emb; bound.base; bound.bias ] @ bound.gru)
 
@@ -90,41 +84,33 @@ let gru_fold m bound context =
 
 (* The conditioning vector for [context]: the windowed mean embedding
    (Bow) or a GRU pass over it. *)
-let hidden_node ~kernel m bound ~context =
-  match (bound.gru, kernel) with
-  | [], Fused -> Autodiff.bow_hidden bound.tape bound.emb context
-  | [], Unfused ->
-      Autodiff.tanh_ bound.tape (Autodiff.rows_mean bound.tape bound.emb context)
+let hidden_node m bound ~context =
+  match bound.gru with
+  | [] -> Autodiff.tanh_ bound.tape (Autodiff.rows_mean bound.tape bound.emb context)
   | _ -> gru_fold m bound context
 
-let logprob_from_hidden ~kernel bound ~h ~allowed ~target =
+let logprob_from_hidden bound ~h ~allowed ~target =
   let target_pos =
     match List.find_index (fun tok -> tok = target) allowed with
     | Some i -> i
     | None -> invalid_arg "Tape_model: target not allowed"
   in
   let tape = bound.tape in
-  match kernel with
-  | Fused ->
-      Autodiff.lora_logit_logprob tape ~base:bound.base ~a:bound.a ~b:bound.b
-        ~bias:bound.bias ~h ~allowed ~target_pos
-  | Unfused ->
-      let wx = Autodiff.gather_matvec tape bound.base h allowed in
-      let bh = Autodiff.matvec tape bound.b h in
-      let abx = Autodiff.gather_matvec tape bound.a bh allowed in
-      let bias = Autodiff.gather tape bound.bias allowed in
-      let logits = Autodiff.add tape (Autodiff.add tape wx abx) bias in
-      Autodiff.pick tape (Autodiff.log_softmax tape logits) target_pos
+  let wx = Autodiff.gather_matvec tape bound.base h allowed in
+  let bh = Autodiff.matvec tape bound.b h in
+  let abx = Autodiff.gather_matvec tape bound.a bh allowed in
+  let bias = Autodiff.gather tape bound.bias allowed in
+  let logits = Autodiff.add tape (Autodiff.add tape wx abx) bias in
+  Autodiff.pick tape (Autodiff.log_softmax tape logits) target_pos
 
 (* Log-probability of [target] among [allowed] after [context]. *)
-let step_logprob ~kernel m bound ~context ~allowed ~target =
-  logprob_from_hidden ~kernel bound ~h:(hidden_node ~kernel m bound ~context) ~allowed
-    ~target
+let step_logprob m bound ~context ~allowed ~target =
+  logprob_from_hidden bound ~h:(hidden_node m bound ~context) ~allowed ~target
 
 (* Total log-probability of a grammar-accepted response: Bow rebuilds the
    context window and its hidden node at every position; the GRU carries
    its recurrence from one prompt fold. *)
-let response_logprob_node ~kernel (m : Model.t) bound ~prompt ~grammar ~min_clauses
+let response_logprob_node (m : Model.t) bound ~prompt ~grammar ~min_clauses
     ~max_clauses ~tokens =
   let rec walk gstate prefix h acc = function
     | [] ->
@@ -137,10 +123,10 @@ let response_logprob_node ~kernel (m : Model.t) bound ~prompt ~grammar ~min_clau
         | Some gstate' ->
             let lp =
               match h with
-              | Some h -> logprob_from_hidden ~kernel bound ~h ~allowed ~target:tok
+              | Some h -> logprob_from_hidden bound ~h ~allowed ~target:tok
               | None ->
                   let context = Model.context_of m ~prompt ~prefix:(List.rev prefix) in
-                  step_logprob ~kernel m bound ~context ~allowed ~target:tok
+                  step_logprob m bound ~context ~allowed ~target:tok
             in
             let h = Option.map (fun h -> gru_step_node m bound h tok) h in
             walk gstate' (tok :: prefix) h (lp :: acc) rest)
@@ -151,3 +137,11 @@ let response_logprob_node ~kernel (m : Model.t) bound ~prompt ~grammar ~min_clau
     | _ -> Some (gru_fold m bound (Vocab.bos m.Model.vocab :: prompt))
   in
   Autodiff.add_list bound.tape (walk (Grammar.start grammar) [] h0 [] tokens)
+
+(* The value of {!response_logprob_node} on a fresh tape. *)
+let response_logprob m ~prompt ~grammar ~min_clauses ~max_clauses ~tokens =
+  let bound = bind m (Autodiff.Tape.create ()) in
+  Tensor.get
+    (Autodiff.value
+       (response_logprob_node m bound ~prompt ~grammar ~min_clauses ~max_clauses ~tokens))
+    0

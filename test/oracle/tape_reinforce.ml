@@ -7,12 +7,11 @@
 module Model = Dpoaf_lm.Model
 module Sampler = Dpoaf_lm.Sampler
 module Reinforce = Dpoaf_dpo.Reinforce
-module Autodiff = Dpoaf_tensor.Autodiff
 module Optim = Dpoaf_tensor.Optim
 module Rng = Dpoaf_util.Rng
 module Stats = Dpoaf_util.Stats
 
-let epoch_step ~kernel policy opt (config : Reinforce.config) rng tape
+let epoch_step policy opt (config : Reinforce.config) rng
     (tasks : Reinforce.task list) =
   let snap = Sampler.snapshot policy in
   let batches =
@@ -31,7 +30,7 @@ let epoch_step ~kernel policy opt (config : Reinforce.config) rng tape
         (task, samples, Stats.mean (List.map snd samples)))
       tasks
   in
-  Autodiff.Tape.reset tape;
+  let tape = Autodiff.Tape.create () in
   let bound = Tape_model.bind policy tape in
   let total = float_of_int (List.length tasks * config.Reinforce.samples_per_task) in
   let terms =
@@ -43,7 +42,7 @@ let epoch_step ~kernel policy opt (config : Reinforce.config) rng tape
             if advantage = 0.0 then None
             else
               let lp =
-                Tape_model.response_logprob_node ~kernel policy bound
+                Tape_model.response_logprob_node policy bound
                   ~prompt:task.Reinforce.prompt ~grammar:task.Reinforce.grammar
                   ~min_clauses:task.Reinforce.min_clauses
                   ~max_clauses:task.Reinforce.max_clauses ~tokens
@@ -61,14 +60,13 @@ let epoch_step ~kernel policy opt (config : Reinforce.config) rng tape
    end);
   mean_reward
 
-let train ~kernel ~reference ~tasks (config : Reinforce.config) ~seed =
+let train ~reference ~tasks (config : Reinforce.config) ~seed =
   let policy = Model.clone reference in
   let opt = Optim.Adam.create ~lr:config.Reinforce.lr () in
   let rng = Rng.create seed in
-  let tape = Autodiff.Tape.create () in
   let stats =
     List.init config.Reinforce.epochs (fun i ->
         { Reinforce.epoch = i + 1;
-          mean_reward = epoch_step ~kernel policy opt config rng tape tasks })
+          mean_reward = epoch_step policy opt config rng tasks })
   in
   { Reinforce.stats; final = policy }

@@ -93,6 +93,16 @@ let test_tableau_false () =
   let gnba = Tableau.gnba_of_ltl Ltl.False in
   Alcotest.(check (list int)) "no initial" [] gnba.Buchi.initial
 
+(* A formula from the property generator whose negation once took the
+   tableau tens of seconds: completed nodes were found by a linear scan. *)
+let test_tableau_large () =
+  let phi =
+    Ltl.parse_exn "(G (p U q) & F (true U p)) U ((q R p) U q) U (p U q) R G q"
+  in
+  let gnba = Tableau.gnba_of_ltl (Ltl.neg phi) in
+  let edges = Array.fold_left (fun acc s -> acc + List.length s) 0 gnba.Buchi.succs in
+  Alcotest.(check (pair int int)) "states, edges" (2094, 107593) (gnba.Buchi.n, edges)
+
 let test_degeneralize_no_sets () =
   let gnba =
     {
@@ -932,6 +942,7 @@ let () =
         [
           Alcotest.test_case "sizes" `Quick test_tableau_sizes;
           Alcotest.test_case "false" `Quick test_tableau_false;
+          Alcotest.test_case "large negation" `Quick test_tableau_large;
           Alcotest.test_case "degeneralize no sets" `Quick test_degeneralize_no_sets;
         ] );
       ( "ts",

@@ -141,8 +141,8 @@ let test_vacuous_margin () =
 
 (* ---------------- the tape oracles ---------------- *)
 
-(* The tape DPO and REINFORCE steps, the tape scoring path with its fused
-   and unfused kernels, and DPO evaluation live in test/oracle. *)
+(* The tape DPO and REINFORCE steps, the tape scoring path and DPO
+   evaluation live in test/oracle. *)
 module Tape_model = Dpoaf_oracle.Tape_model
 module Tape_dpo = Dpoaf_oracle.Tape_dpo
 module Tape_reinforce = Dpoaf_oracle.Tape_reinforce
@@ -179,9 +179,8 @@ let recorded_bits train =
 let production ~reference ~pairs config ~seed =
   recorded_bits (fun sink -> Trainer.train ~sink ~reference ~pairs config ~seed)
 
-let oracle ~kernel ~tape_mode ~reference ~pairs config ~seed =
-  recorded_bits (fun sink ->
-      Tape_dpo.train ~sink ~kernel ~tape_mode ~reference ~pairs config ~seed)
+let oracle ~reference ~pairs config ~seed =
+  recorded_bits (fun sink -> Tape_dpo.train ~sink ~reference ~pairs config ~seed)
 
 (* ---------------- loss and metrics ---------------- *)
 
@@ -199,15 +198,13 @@ let test_loss_node_matches_evaluate () =
   let policy = make_model 7 in
   let pair = mk_pair [ "if green go" ] [ "turn right" ] in
   let refs = Tape_dpo.reference_logprobs reference pair in
-  let tape = Dpoaf_tensor.Autodiff.Tape.create () in
+  let tape = Dpoaf_oracle.Autodiff.Tape.create () in
   let bound = Tape_model.bind policy tape in
-  let loss_node, _, _ =
-    Tape_dpo.pair_loss_node ~kernel:Tape_model.Fused ~policy ~bound ~beta:0.5 refs pair
-  in
+  let loss_node, _, _ = Tape_dpo.pair_loss_node ~policy ~bound ~beta:0.5 refs pair in
   let stats = Tape_dpo.evaluate ~policy ~reference ~beta:0.5 [ pair ] in
   Alcotest.(check (float 1e-9)) "node = eval"
     stats.Tape_dpo.loss
-    (Dpoaf_tensor.Tensor.get (Dpoaf_tensor.Autodiff.value loss_node) 0)
+    (Dpoaf_tensor.Tensor.get (Dpoaf_oracle.Autodiff.value loss_node) 0)
 
 let test_evaluate_empty () =
   let m = make_model 1 in
@@ -285,29 +282,12 @@ let test_seeds_same_start_different_order () =
       Alcotest.(check bool) "accuracy high" true (last.Trainer.accuracy >= 0.9))
     runs
 
-let test_tape_mode_bitwise_identical () =
-  (* the trainer equals the tape oracle on one reused arena and on a fresh
-     tape per step: stats, step records, checkpoints and final adapter *)
+(* stats, step records, checkpoints and final adapter *)
+let trainer_equals_tape ~model_seed ~seed () =
   let pairs = training_pairs () in
-  let reference = make_model 29 in
-  let run f = f ~reference ~pairs (quick_config 8) ~seed:5 in
-  let trainer = run production in
-  Alcotest.(check bool) "trainer = oracle on a reused tape" true
-    (trainer = run (oracle ~kernel:Tape_model.Fused ~tape_mode:`Reuse));
-  Alcotest.(check bool) "trainer = oracle on fresh tapes" true
-    (trainer = run (oracle ~kernel:Tape_model.Fused ~tape_mode:`Fresh))
-
-let test_unfused_fresh_equals_fused_reuse () =
-  (* both kernel axes at once: the trainer equals the unfused composition
-     on a fresh tape per step and the fused kernels on one reused arena *)
-  let pairs = training_pairs () in
-  let reference = make_model 31 in
-  let run f = f ~reference ~pairs (quick_config 8) ~seed:7 in
-  let trainer = run production in
-  Alcotest.(check bool) "trainer = unfused fresh" true
-    (trainer = run (oracle ~kernel:Tape_model.Unfused ~tape_mode:`Fresh));
-  Alcotest.(check bool) "trainer = fused reuse" true
-    (trainer = run (oracle ~kernel:Tape_model.Fused ~tape_mode:`Reuse))
+  let reference = make_model model_seed in
+  let run f = f ~reference ~pairs (quick_config 8) ~seed in
+  Alcotest.(check bool) "trainer = oracle on fresh tapes" true (run production = run oracle)
 
 (* Random pairs on Bow and GRU models, batch sizes that do not divide the
    pair count, shuffling on and off: the trainer and the tape oracle
@@ -335,7 +315,7 @@ let prop_trainer_matches_oracle =
       in
       let seed = Rng.int rng 1000 in
       production ~reference ~pairs config ~seed
-      = oracle ~kernel:Tape_model.Fused ~tape_mode:`Reuse ~reference ~pairs config ~seed)
+      = oracle ~reference ~pairs config ~seed)
 
 let test_reference_safety () =
   (* a GRU reference, so every kind of frozen tensor is covered *)
@@ -498,7 +478,7 @@ let test_reinforce_reference_untouched () =
     (List.for_all2 (fun a b -> a.T.data = b.T.data) (tensors reference) before)
 
 (* Random tasks on Bow and GRU models, rewards of which some give a task
-   all-zero advantages, temperatures other than 1 and either tape kernel:
+   all-zero advantages, and temperatures other than 1:
    the frozen-feature REINFORCE step equals the tape oracle bit for bit,
    in every epoch's mean reward and in the final adapter. *)
 let prop_reinforce_matches_oracle =
@@ -530,7 +510,6 @@ let prop_reinforce_matches_oracle =
           samples_per_task = 2 + Rng.int rng 4;
           temperature = [| 0.5; 0.8; 1.0; 1.5 |].(Rng.int rng 4) }
       in
-      let kernel = if Rng.int rng 2 = 0 then Tape_model.Fused else Tape_model.Unfused in
       let seed = Rng.int rng 1000 in
       let bits (run : Reinforce.run) =
         let out = run.Reinforce.final.Model.out in
@@ -543,7 +522,7 @@ let prop_reinforce_matches_oracle =
                out.Dpoaf_tensor.Lora.b.Dpoaf_tensor.Tensor.data) )
       in
       bits (Reinforce.train ~reference ~tasks config ~seed)
-      = bits (Tape_reinforce.train ~kernel ~reference ~tasks config ~seed))
+      = bits (Tape_reinforce.train ~reference ~tasks config ~seed))
 
 let () =
   Alcotest.run "dpo"
@@ -569,10 +548,10 @@ let () =
           Alcotest.test_case "checkpoints" `Quick test_checkpoints_present;
           Alcotest.test_case "seeds" `Slow test_seeds_same_start_different_order;
           Alcotest.test_case "epoch0 = reference" `Quick test_epoch0_checkpoint_is_reference;
-          Alcotest.test_case "tape modes bitwise equal" `Quick
-            test_tape_mode_bitwise_identical;
-          Alcotest.test_case "unfused fresh = fused reuse" `Quick
-            test_unfused_fresh_equals_fused_reuse;
+          Alcotest.test_case "trainer = fresh tape" `Quick
+            (trainer_equals_tape ~model_seed:29 ~seed:5);
+          Alcotest.test_case "trainer = unfused tape" `Quick
+            (trainer_equals_tape ~model_seed:31 ~seed:7);
           QCheck_alcotest.to_alcotest prop_trainer_matches_oracle;
           Alcotest.test_case "reference safety" `Quick test_reference_safety;
           Alcotest.test_case "step records" `Quick test_step_records_stream;

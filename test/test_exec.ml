@@ -280,7 +280,7 @@ let test_metrics_runtime_gauges () =
     (get "gc.minor_heap_words" > 0.0);
   List.iter
     (fun k -> Alcotest.(check bool) (k ^ " present") true (get k >= 0.0))
-    [ "gc.minor_collections"; "gc.major_collections"; "tape.nodes" ]
+    [ "gc.minor_collections"; "gc.major_collections" ]
 
 (* ---------------- tracing ---------------- *)
 

@@ -1,6 +1,13 @@
 open Dpoaf_lm
 module Rng = Dpoaf_util.Rng
 module Tape_model = Dpoaf_oracle.Tape_model
+module Autodiff = Dpoaf_oracle.Autodiff
+
+(* Negative log-likelihood of a pre-training example, on the tape. *)
+let nll model (ex : Pretrain.example) =
+  -.Tape_model.response_logprob model ~prompt:ex.Pretrain.prompt
+      ~grammar:ex.Pretrain.grammar ~min_clauses:ex.Pretrain.min_clauses
+      ~max_clauses:ex.Pretrain.max_clauses ~tokens:ex.Pretrain.tokens
 
 let clauses = [ "observe the light"; "if green go"; "if red stop"; "turn right" ]
 
@@ -137,7 +144,7 @@ let test_model_distribution_normalizes () =
       (fun acc tokens ->
         acc
         +. exp
-             (Model.response_logprob model ~prompt ~grammar:g ~min_clauses:1
+             (Tape_model.response_logprob model ~prompt ~grammar:g ~min_clauses:1
                 ~max_clauses:2 ~tokens))
       0.0 responses
   in
@@ -165,7 +172,7 @@ let test_sampler_agrees_with_logprob () =
     Hashtbl.fold (fun k c (bk, bc) -> if c > bc then (k, c) else (bk, bc)) counts ([], 0)
   in
   let p_model =
-    exp (Model.response_logprob model ~prompt ~grammar:g ~min_clauses:1 ~max_clauses:2 ~tokens:best)
+    exp (Tape_model.response_logprob model ~prompt ~grammar:g ~min_clauses:1 ~max_clauses:2 ~tokens:best)
   in
   let p_emp = float_of_int freq /. float_of_int n in
   Alcotest.(check bool)
@@ -235,9 +242,9 @@ let test_pretrain_reduces_nll_and_shifts_sampling () =
       max_clauses = 3;
     }
   in
-  let before = Pretrain.nll model ex in
+  let before = nll model ex in
   let losses = Pretrain.train model [ ex ] ~epochs:60 ~batch:4 ~lr:0.05 (Rng.create 2) in
-  let after = Pretrain.nll model ex in
+  let after = nll model ex in
   Alcotest.(check bool)
     (Printf.sprintf "nll decreased (%.3f -> %.3f)" before after)
     true (after < before *. 0.5);
@@ -248,6 +255,55 @@ let test_pretrain_reduces_nll_and_shifts_sampling () =
   let greedy = Sampler.greedy snap ~prompt ~grammar:g ~min_clauses:1 ~max_clauses:3 in
   Alcotest.(check (list string)) "greedy = corpus" target_steps
     (Grammar.steps_of_tokens v greedy)
+
+(* Random Bow and GRU models with a non-zero adapter [A], random
+   examples in batches that do not divide their number, random seeds:
+   the hand-written gradient trains exactly like the tape oracle, in
+   every epoch's loss and every bit of every trained tensor. *)
+let prop_pretrain_matches_oracle =
+  QCheck.Test.make ~count:60 ~name:"closed-form pretrain = tape oracle bit for bit"
+    QCheck.small_nat (fun seed ->
+      let rng = Rng.create (seed + 1) in
+      let v = make_vocab () in
+      let g = make_grammar v in
+      let config =
+        { Model.dim = 2 + Rng.int rng 7; context = 1 + Rng.int rng 6;
+          lora_rank = 1 + Rng.int rng 3;
+          arch = (if Rng.int rng 2 = 0 then Model.Bow else Model.Gru) }
+      in
+      let model_seed = Rng.int rng 1000 in
+      let a_fill = Array.init 64 (fun _ -> Rng.float rng -. 0.5) in
+      let model () =
+        let m = Model.create (Rng.create model_seed) config v in
+        let a = m.Model.out.Dpoaf_tensor.Lora.a.Dpoaf_tensor.Tensor.data in
+        Array.iteri (fun i _ -> a.(i) <- a_fill.(i mod 64)) a;
+        m
+      in
+      let prompts = [| "steps for the task"; "observe the light"; "" |] in
+      let batch = 2 + Rng.int rng 3 in
+      let n = batch + 1 + Rng.int rng (2 * batch) in
+      let n = if n mod batch = 0 then n + 1 else n in
+      let examples =
+        List.init n (fun _ ->
+            let steps =
+              List.init (1 + Rng.int rng 3) (fun _ ->
+                  List.nth clauses (Rng.int rng (List.length clauses)))
+            in
+            { Pretrain.prompt = Vocab.encode v prompts.(Rng.int rng 3);
+              tokens = Grammar.tokens_of_steps v steps; grammar = g; min_clauses = 1;
+              max_clauses = 3 })
+      in
+      let epochs = 1 + Rng.int rng 3 and train_seed = Rng.int rng 1000 in
+      let run train =
+        let m = model () in
+        let losses = train m examples ~epochs ~batch ~lr:0.05 (Rng.create train_seed) in
+        ( List.map Int64.bits_of_float losses,
+          List.map
+            (fun (p : Dpoaf_tensor.Optim.param) ->
+              Array.map Int64.bits_of_float p.Dpoaf_tensor.Optim.tensor.Dpoaf_tensor.Tensor.data)
+            (Model.params_pretrain m) )
+      in
+      run Pretrain.train = run Dpoaf_oracle.Tape_pretrain.train)
 
 (* ---------------- prompt formatting ---------------- *)
 
@@ -294,7 +350,7 @@ let test_gru_distribution_normalizes () =
       (fun acc tokens ->
         acc
         +. exp
-             (Model.response_logprob model ~prompt ~grammar:g ~min_clauses:1
+             (Tape_model.response_logprob model ~prompt ~grammar:g ~min_clauses:1
                 ~max_clauses:2 ~tokens))
       0.0 responses
   in
@@ -315,12 +371,10 @@ let test_gru_sampler_matches_node_path () =
   in
   List.iteri
     (fun k target ->
-      let tape = Dpoaf_tensor.Autodiff.Tape.create () in
+      let tape = Autodiff.Tape.create () in
       let bound = Tape_model.bind model tape in
-      let node =
-        Tape_model.step_logprob ~kernel:Tape_model.Fused model bound ~context ~allowed ~target
-      in
-      let p_node = exp (Dpoaf_tensor.Tensor.get (Dpoaf_tensor.Autodiff.value node) 0) in
+      let node = Tape_model.step_logprob model bound ~context ~allowed ~target in
+      let p_node = exp (Dpoaf_tensor.Tensor.get (Autodiff.value node) 0) in
       Alcotest.(check (float 1e-9))
         (Printf.sprintf "token %d" target)
         p_node sampler_probs.(k))
@@ -350,18 +404,18 @@ let test_gru_gradients_finite_difference () =
   let prompt = Vocab.encode v "steps for the task" in
   let tokens = Grammar.tokens_of_steps v [ "if green go" ] in
   let loss () =
-    -.Model.response_logprob model ~prompt ~grammar:g ~min_clauses:1 ~max_clauses:2
+    -.Tape_model.response_logprob model ~prompt ~grammar:g ~min_clauses:1 ~max_clauses:2
         ~tokens
   in
   (* analytic gradients *)
-  let tape = Dpoaf_tensor.Autodiff.Tape.create () in
-  let bound = Model.bind model tape in
+  let tape = Autodiff.Tape.create () in
+  let bound = Tape_model.bind model tape in
   let lp =
-    Model.response_logprob_node model bound ~prompt ~grammar:g ~min_clauses:1
+    Tape_model.response_logprob_node model bound ~prompt ~grammar:g ~min_clauses:1
       ~max_clauses:2 ~tokens
   in
-  Dpoaf_tensor.Autodiff.backward tape (Dpoaf_tensor.Autodiff.neg tape lp);
-  let grads = Model.pretrain_grads model bound in
+  Autodiff.backward tape (Autodiff.neg tape lp);
+  let grads = List.combine (Model.params_pretrain model) (Tape_model.pretrain_grads bound) in
   let eps = 1e-5 in
   List.iter
     (fun ((p : Dpoaf_tensor.Optim.param), grad) ->
@@ -398,9 +452,9 @@ let test_gru_pretrain_reduces_nll () =
       max_clauses = 3;
     }
   in
-  let before = Pretrain.nll model ex in
+  let before = nll model ex in
   let _ = Pretrain.train model [ ex ] ~epochs:40 ~batch:4 ~lr:0.05 (Rng.create 3) in
-  let after = Pretrain.nll model ex in
+  let after = nll model ex in
   Alcotest.(check bool)
     (Printf.sprintf "gru nll %.3f -> %.3f" before after)
     true (after < before *. 0.7)
@@ -412,7 +466,7 @@ let test_gru_checkpoint_roundtrip () =
   let prompt = Vocab.encode v "steps for the task" in
   let tokens = Grammar.tokens_of_steps v [ "turn right" ] in
   let lp m =
-    Model.response_logprob m ~prompt ~grammar:g ~min_clauses:1 ~max_clauses:2 ~tokens
+    Tape_model.response_logprob m ~prompt ~grammar:g ~min_clauses:1 ~max_clauses:2 ~tokens
   in
   let path = Filename.temp_file "dpoaf_gru" ".ckpt" in
   Checkpoint.save model path;
@@ -422,10 +476,9 @@ let test_gru_checkpoint_roundtrip () =
     (loaded.Model.config.Model.arch = Model.Gru);
   Alcotest.(check (float 1e-12)) "same logprob" (lp model) (lp loaded)
 
-(* ---------------- incremental forward & fused scoring ---------------- *)
+(* ---------------- incremental forward ---------------- *)
 
 module Tensor = Dpoaf_tensor.Tensor
-module Autodiff = Dpoaf_tensor.Autodiff
 
 let bits_equal_arrays a b =
   Array.length a = Array.length b
@@ -467,8 +520,8 @@ let test_incremental_walk_gru () =
   let v = make_vocab () in
   check_incremental_walk (make_gru_model 62 v)
 
-(* The float forward (Fwd, used by the sampler) and the autodiff forward
-   (hidden_node, used by training) must agree bit-for-bit. *)
+(* The forward pass (Fwd, used by the sampler and by training) and the
+   tape oracle's forward must agree bit-for-bit. *)
 let check_fwd_matches_node model =
   let v = make_vocab () in
   let context =
@@ -480,7 +533,7 @@ let check_fwd_matches_node model =
   let tape = Autodiff.Tape.create () in
   let bound = Tape_model.bind model tape in
   let node_h =
-    Autodiff.value (Tape_model.hidden_node ~kernel:Tape_model.Fused model bound ~context)
+    Autodiff.value (Tape_model.hidden_node model bound ~context)
   in
   Alcotest.(check bool) "fwd = node bits" true
     (bits_equal_arrays float_h node_h.Tensor.data)
@@ -492,57 +545,6 @@ let test_fwd_matches_node_bow () =
 let test_fwd_matches_node_gru () =
   let v = make_vocab () in
   check_fwd_matches_node (make_gru_model 64 v)
-
-(* Fused and unfused scoring are the same function: same value, same
-   parameter gradients, to the last bit. *)
-let check_fused_unfused_response model =
-  let v = make_vocab () in
-  let g = make_grammar v in
-  let prompt = Vocab.encode v "steps for the task" in
-  let tokens =
-    Grammar.tokens_of_steps v [ "observe the light"; "if red stop" ]
-  in
-  let run score grads =
-    let tape = Autodiff.Tape.create () in
-    let lp, bound = score tape in
-    Autodiff.backward tape lp;
-    (Tensor.get (Autodiff.value lp) 0, List.map Tensor.copy (grads bound))
-  in
-  let v_f, g_f =
-    run
-      (fun tape ->
-        let bound = Model.bind model tape in
-        ( Model.response_logprob_node model bound ~prompt ~grammar:g ~min_clauses:1
-            ~max_clauses:3 ~tokens,
-          bound ))
-      (fun bound -> List.map snd (Model.pretrain_grads model bound))
-  in
-  let v_u, g_u =
-    run
-      (fun tape ->
-        let bound = Tape_model.bind model tape in
-        ( Tape_model.response_logprob_node ~kernel:Tape_model.Unfused model bound ~prompt
-            ~grammar:g ~min_clauses:1 ~max_clauses:3 ~tokens,
-          bound ))
-      Tape_model.pretrain_grads
-  in
-  Alcotest.(check bool) "value bits" true
-    (Int64.bits_of_float v_f = Int64.bits_of_float v_u);
-  List.iteri
-    (fun i (gf, gu) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "grad %d bits" i)
-        true
-        (bits_equal_arrays gf.Tensor.data gu.Tensor.data))
-    (List.combine g_f g_u)
-
-let test_fused_unfused_bow () =
-  let v = make_vocab () in
-  check_fused_unfused_response (make_model ~context:4 65 v)
-
-let test_fused_unfused_gru () =
-  let v = make_vocab () in
-  check_fused_unfused_response (make_gru_model 66 v)
 
 (* A cached prompt state is transparent: sampling from it consumes the rng
    exactly as the one-shot path does. *)
@@ -643,7 +645,7 @@ let test_checkpoint_roundtrip () =
   let prompt = Vocab.encode v "steps for the task" in
   let tokens = Grammar.tokens_of_steps v [ "turn right" ] in
   let lp model =
-    Model.response_logprob model ~prompt ~grammar:g ~min_clauses:1 ~max_clauses:2 ~tokens
+    Tape_model.response_logprob model ~prompt ~grammar:g ~min_clauses:1 ~max_clauses:2 ~tokens
   in
   let path = Filename.temp_file "dpoaf" ".ckpt" in
   Checkpoint.save model path;
@@ -791,6 +793,7 @@ let () =
         ] );
       ( "pretrain",
         [
+          QCheck_alcotest.to_alcotest prop_pretrain_matches_oracle;
           Alcotest.test_case "reduces nll" `Slow
             test_pretrain_reduces_nll_and_shifts_sampling;
         ] );
@@ -820,8 +823,6 @@ let () =
             test_incremental_walk_gru;
           Alcotest.test_case "fwd = node (bow)" `Quick test_fwd_matches_node_bow;
           Alcotest.test_case "fwd = node (gru)" `Quick test_fwd_matches_node_gru;
-          Alcotest.test_case "fused = unfused (bow)" `Quick test_fused_unfused_bow;
-          Alcotest.test_case "fused = unfused (gru)" `Quick test_fused_unfused_gru;
           Alcotest.test_case "state sampling = prompt sampling" `Quick
             test_sample_from_state_equals_sample;
           Alcotest.test_case "sampling = from-scratch sampling" `Quick

@@ -1,5 +1,6 @@
 open Dpoaf_tensor
 module Rng = Dpoaf_util.Rng
+module Autodiff = Dpoaf_oracle.Autodiff
 
 let check_float = Alcotest.(check (float 1e-6))
 
@@ -285,10 +286,11 @@ let test_lora_bad_args () =
     (try ignore (Lora.create rng ~base:(Tensor.zeros [| 2; 2 |]) ~rank:0); false
      with Invalid_argument _ -> true)
 
-(* ---------------- fused kernels ---------------- *)
+(* ---------------- the LoRA scoring head ---------------- *)
 
-(* The reference composition each fused node must match bit-for-bit. *)
-let unfused_head tape ~base ~a ~b ~bias ~h ~allowed ~target_pos =
+(* The head the LM scores every token with, as a composition of
+   primitive ops. *)
+let head tape ~base ~a ~b ~bias ~h ~allowed ~target_pos =
   let wx = Autodiff.gather_matvec tape base h allowed in
   let bh = Autodiff.matvec tape b h in
   let abx = Autodiff.gather_matvec tape a bh allowed in
@@ -316,219 +318,55 @@ let lora_case () =
   (* a duplicate in [allowed] exercises adjoint accumulation on shared rows *)
   (base, a, b, bias, h, [ 0; 2; 2; 3 ], 1)
 
-let test_grad_bow_hidden () =
-  let emb =
-    Tensor.matrix [| [| 0.3; -0.5 |]; [| 0.7; 0.1 |]; [| -0.2; 0.9 |] |]
-  in
-  gradient_check
-    ~build:(fun tape m ->
-      Autodiff.sum tape (Autodiff.bow_hidden tape m [ 0; 2; 2 ]))
-    emb
-
-let fused_head_check pick_leaf =
+(* Finite differences of the head with respect to one of its inputs;
+   [pick_leaf] chooses it and makes the others constants. *)
+let head_check pick_leaf =
   let base, a, b, bias, h, allowed, target_pos = lora_case () in
   let leaf, build =
-    pick_leaf ~base ~a ~b ~bias ~h
-      (fun tape ~base ~a ~b ~bias ~h ->
-        Autodiff.lora_logit_logprob tape ~base ~a ~b ~bias ~h ~allowed
-          ~target_pos)
+    pick_leaf ~base ~a ~b ~bias ~h (fun tape ~base ~a ~b ~bias ~h ->
+        head tape ~base ~a ~b ~bias ~h ~allowed ~target_pos)
   in
   gradient_check ~build leaf
 
-let test_grad_fused_head_base () =
-  fused_head_check (fun ~base ~a ~b ~bias ~h head ->
+let test_grad_head_base () =
+  head_check (fun ~base ~a ~b ~bias ~h head ->
       ( base,
         fun tape x ->
           head tape ~base:x ~a:(Autodiff.const tape a)
             ~b:(Autodiff.const tape b) ~bias:(Autodiff.const tape bias)
             ~h:(Autodiff.const tape h) ))
 
-let test_grad_fused_head_a () =
-  fused_head_check (fun ~base ~a ~b ~bias ~h head ->
+let test_grad_head_a () =
+  head_check (fun ~base ~a ~b ~bias ~h head ->
       ( a,
         fun tape x ->
           head tape ~base:(Autodiff.const tape base) ~a:x
             ~b:(Autodiff.const tape b) ~bias:(Autodiff.const tape bias)
             ~h:(Autodiff.const tape h) ))
 
-let test_grad_fused_head_b () =
-  fused_head_check (fun ~base ~a ~b ~bias ~h head ->
+let test_grad_head_b () =
+  head_check (fun ~base ~a ~b ~bias ~h head ->
       ( b,
         fun tape x ->
           head tape ~base:(Autodiff.const tape base)
             ~a:(Autodiff.const tape a) ~b:x
             ~bias:(Autodiff.const tape bias) ~h:(Autodiff.const tape h) ))
 
-let test_grad_fused_head_bias () =
-  fused_head_check (fun ~base ~a ~b ~bias ~h head ->
+let test_grad_head_bias () =
+  head_check (fun ~base ~a ~b ~bias ~h head ->
       ( bias,
         fun tape x ->
           head tape ~base:(Autodiff.const tape base)
             ~a:(Autodiff.const tape a) ~b:(Autodiff.const tape b) ~bias:x
             ~h:(Autodiff.const tape h) ))
 
-let test_grad_fused_head_h () =
-  fused_head_check (fun ~base ~a ~b ~bias ~h head ->
+let test_grad_head_h () =
+  head_check (fun ~base ~a ~b ~bias ~h head ->
       ( h,
         fun tape x ->
           head tape ~base:(Autodiff.const tape base)
             ~a:(Autodiff.const tape a) ~b:(Autodiff.const tape b)
             ~bias:(Autodiff.const tape bias) ~h:x ))
-
-(* bitwise equality: the fusion contract is exact floats, not approximate *)
-let same_bits x y =
-  let dx = x.Tensor.data and dy = y.Tensor.data in
-  Array.length dx = Array.length dy
-  && begin
-       let ok = ref true in
-       Array.iteri
-         (fun i v ->
-           if Int64.bits_of_float v <> Int64.bits_of_float dy.(i) then
-             ok := false)
-         dx;
-       !ok
-     end
-
-let random_head_case seed =
-  let rng = Rng.create (0x5eed + seed) in
-  let d = 1 + Rng.int rng 6 in
-  let rank = 1 + Rng.int rng 4 in
-  let vocab = 3 + Rng.int rng 8 in
-  let base = Tensor.gaussian rng [| vocab; d |] ~stddev:1.0 in
-  let a = Tensor.gaussian rng [| vocab; rank |] ~stddev:0.8 in
-  let b = Tensor.gaussian rng [| rank; d |] ~stddev:0.8 in
-  let bias = Tensor.gaussian rng [| vocab |] ~stddev:0.5 in
-  let h = Tensor.gaussian rng [| d |] ~stddev:1.0 in
-  (* duplicates allowed on purpose *)
-  let n_allowed = 1 + Rng.int rng (vocab + 2) in
-  let allowed = List.init n_allowed (fun _ -> Rng.int rng vocab) in
-  let target_pos = Rng.int rng n_allowed in
-  (base, a, b, bias, h, allowed, target_pos)
-
-(* Run one scoring head (fused or unfused) from fresh leaves and return the
-   output value plus every leaf gradient. *)
-let run_head head (base, a, b, bias, h, allowed, target_pos) =
-  let tape = Autodiff.Tape.create () in
-  let base_n = Autodiff.var tape (Tensor.copy base) in
-  let a_n = Autodiff.var tape (Tensor.copy a) in
-  let b_n = Autodiff.var tape (Tensor.copy b) in
-  let bias_n = Autodiff.var tape (Tensor.copy bias) in
-  let h_n = Autodiff.var tape (Tensor.copy h) in
-  let out =
-    head tape ~base:base_n ~a:a_n ~b:b_n ~bias:bias_n ~h:h_n ~allowed
-      ~target_pos
-  in
-  Autodiff.backward tape out;
-  ( Tensor.copy (Autodiff.value out),
-    List.map
-      (fun n -> Tensor.copy (Autodiff.grad n))
-      [ base_n; a_n; b_n; bias_n; h_n ] )
-
-let prop_fused_head_bit_identical =
-  QCheck.Test.make ~count:100 ~name:"fused head bit-identical to unfused"
-    QCheck.small_nat (fun seed ->
-      let case = random_head_case seed in
-      let v_f, g_f = run_head Autodiff.lora_logit_logprob case in
-      let v_u, g_u = run_head unfused_head case in
-      same_bits v_f v_u && List.for_all2 same_bits g_f g_u)
-
-let prop_fused_bow_bit_identical =
-  QCheck.Test.make ~count:100 ~name:"fused bow hidden bit-identical"
-    QCheck.small_nat (fun seed ->
-      let rng = Rng.create (0xb0b + seed) in
-      let vocab = 2 + Rng.int rng 8 in
-      let d = 1 + Rng.int rng 6 in
-      let emb = Tensor.gaussian rng [| vocab; d |] ~stddev:1.0 in
-      let n_rows = 1 + Rng.int rng (vocab + 3) in
-      let rows = List.init n_rows (fun _ -> Rng.int rng vocab) in
-      let run fused =
-        let tape = Autodiff.Tape.create () in
-        let m = Autodiff.var tape (Tensor.copy emb) in
-        let hid =
-          if fused then Autodiff.bow_hidden tape m rows
-          else Autodiff.tanh_ tape (Autodiff.rows_mean tape m rows)
-        in
-        (* weight the components so the pulled adjoint is non-uniform *)
-        let w =
-          Autodiff.const tape
-            (Tensor.init [| d |] (fun i -> 0.5 +. (0.25 *. float_of_int i)))
-        in
-        let out = Autodiff.dot tape hid w in
-        Autodiff.backward tape out;
-        (Tensor.copy (Autodiff.value hid), Tensor.copy (Autodiff.grad m))
-      in
-      let v_f, g_f = run true in
-      let v_u, g_u = run false in
-      same_bits v_f v_u && same_bits g_f g_u)
-
-(* ---------------- tape reuse ---------------- *)
-
-(* Build a small lm-like graph whose leaf values depend on [salt], run
-   backward, and return (node count, output bits, leaf gradients). *)
-let reuse_pass tape salt =
-  let base, a, b, bias, h, allowed, target_pos = lora_case () in
-  let perturb t = Tensor.map (fun x -> x +. (0.01 *. float_of_int salt)) t in
-  let base_n = Autodiff.var tape (perturb base) in
-  let a_n = Autodiff.var tape (perturb a) in
-  let b_n = Autodiff.var tape (perturb b) in
-  let bias_n = Autodiff.var tape (perturb bias) in
-  let h_n = Autodiff.var tape (perturb h) in
-  let lp =
-    Autodiff.lora_logit_logprob tape ~base:base_n ~a:a_n ~b:b_n ~bias:bias_n
-      ~h:h_n ~allowed ~target_pos
-  in
-  let hid = Autodiff.bow_hidden tape base_n [ 0; 1; 1 ] in
-  let out = Autodiff.add tape lp (Autodiff.mean tape hid) in
-  Autodiff.backward tape out;
-  ( Autodiff.Tape.length tape,
-    Tensor.copy (Autodiff.value out),
-    List.map
-      (fun n -> Tensor.copy (Autodiff.grad n))
-      [ base_n; a_n; b_n; bias_n; h_n ] )
-
-let test_tape_reuse_bitwise () =
-  let fresh salt = reuse_pass (Autodiff.Tape.create ()) salt in
-  let tape = Autodiff.Tape.create () in
-  let reused salt =
-    Autodiff.Tape.reset tape;
-    reuse_pass tape salt
-  in
-  List.iter
-    (fun salt ->
-      let n_f, v_f, g_f = fresh salt in
-      let n_r, v_r, g_r = reused salt in
-      Alcotest.(check int) "node count" n_f n_r;
-      Alcotest.(check bool) "output bits" true (same_bits v_f v_r);
-      List.iteri
-        (fun i (gf, gr) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "grad %d bits" i)
-            true (same_bits gf gr))
-        (List.combine g_f g_r))
-    [ 1; 2 ];
-  let stats = Autodiff.Tape.stats tape in
-  Alcotest.(check int) "resets" 2 stats.Autodiff.Tape.resets;
-  Alcotest.(check bool) "buffers reused" true
-    (stats.Autodiff.Tape.buffers_reused > 0)
-
-let test_tape_stats_accounting () =
-  let tape = Autodiff.Tape.create () in
-  let pass () =
-    let x = Autodiff.var tape (vec [| 1.0; 2.0; 3.0 |]) in
-    Autodiff.backward tape (Autodiff.sum tape x)
-  in
-  pass ();
-  let s1 = Autodiff.Tape.stats tape in
-  Alcotest.(check int) "live nodes" 2 s1.Autodiff.Tape.live_nodes;
-  Alcotest.(check int) "nothing reused yet" 0 s1.Autodiff.Tape.buffers_reused;
-  Autodiff.Tape.reset tape;
-  Alcotest.(check int) "empty after reset" 0 (Autodiff.Tape.length tape);
-  pass ();
-  let s2 = Autodiff.Tape.stats tape in
-  Alcotest.(check bool) "pool served the second pass" true
-    (s2.Autodiff.Tape.buffers_reused > 0);
-  Alcotest.(check int) "no new allocations" s1.Autodiff.Tape.buffers_allocated
-    s2.Autodiff.Tape.buffers_allocated
 
 let () =
   Alcotest.run "tensor"
@@ -563,22 +401,11 @@ let () =
           Alcotest.test_case "composite lm-like" `Quick test_grad_composite_lm_like;
           Alcotest.test_case "scalar required" `Quick test_backward_requires_scalar;
           Alcotest.test_case "grad reset" `Quick test_backward_resets_grads;
-        ] );
-      ( "fused kernels",
-        [
-          Alcotest.test_case "bow_hidden fd" `Quick test_grad_bow_hidden;
-          Alcotest.test_case "head fd d/dbase" `Quick test_grad_fused_head_base;
-          Alcotest.test_case "head fd d/da" `Quick test_grad_fused_head_a;
-          Alcotest.test_case "head fd d/db" `Quick test_grad_fused_head_b;
-          Alcotest.test_case "head fd d/dbias" `Quick test_grad_fused_head_bias;
-          Alcotest.test_case "head fd d/dh" `Quick test_grad_fused_head_h;
-          QCheck_alcotest.to_alcotest prop_fused_head_bit_identical;
-          QCheck_alcotest.to_alcotest prop_fused_bow_bit_identical;
-        ] );
-      ( "tape reuse",
-        [
-          Alcotest.test_case "bitwise vs fresh tapes" `Quick test_tape_reuse_bitwise;
-          Alcotest.test_case "stats accounting" `Quick test_tape_stats_accounting;
+          Alcotest.test_case "lora head d/dbase" `Quick test_grad_head_base;
+          Alcotest.test_case "lora head d/da" `Quick test_grad_head_a;
+          Alcotest.test_case "lora head d/db" `Quick test_grad_head_b;
+          Alcotest.test_case "lora head d/dbias" `Quick test_grad_head_bias;
+          Alcotest.test_case "lora head d/dh" `Quick test_grad_head_h;
         ] );
       ( "optim",
         [
