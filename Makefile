@@ -1,4 +1,4 @@
-.PHONY: all build test bench check lint mli-check det-lint analysis-check trace-check serve-check scale-check kernels-check domains-check perf-gate obs-check refine-check clean
+.PHONY: all build test bench check lint mli-check det-lint analysis-check trace-check daemon-check kernels-check domains-check perf-gate clean
 
 all: build
 
@@ -14,10 +14,10 @@ bench:
 # The one-stop gate: full build, the lint + interface hygiene gates, the
 # whole test pyramid, a fast pass of the paper benchmark on two workers
 # to exercise the parallel scheduler, the perf gate, then the
-# static-analysis and telemetry round-trips.  The paper benchmark runs in
-# _build/bench-check, so the BENCH_*.json it writes stay out of the
-# committed ones; tools/tree_check.sh fails the gate if anything in the
-# checkout (tracked or untracked, not ignored) changed.
+# static-analysis, telemetry and daemon round-trips.  The paper benchmark
+# runs in _build/bench-check, so the BENCH_*.json it writes stay out of
+# the committed ones; tools/tree_check.sh fails the gate if anything in
+# the checkout (tracked or untracked, not ignored) changed.
 check:
 	sh tools/tree_check.sh save _build/check-tree.txt
 	dune build
@@ -31,12 +31,9 @@ check:
 	$(MAKE) perf-gate
 	$(MAKE) analysis-check
 	$(MAKE) trace-check
-	$(MAKE) serve-check
-	$(MAKE) scale-check
+	$(MAKE) daemon-check
 	$(MAKE) kernels-check
 	$(MAKE) domains-check
-	$(MAKE) obs-check
-	$(MAKE) refine-check
 	sh tools/tree_check.sh compare _build/check-tree.txt
 
 # Rebuild the libraries with the unused-code warning family (26/27,
@@ -89,19 +86,6 @@ kernels-check:
 	dune exec test/test_dpo.exe -- test trainer
 	dune exec test/test_dpo.exe -- test reinforce
 
-# Serving-layer round-trip: daemon on a temp socket, a loadgen burst,
-# assert completions with zero protocol errors, graceful SIGTERM drain.
-serve-check:
-	dune build bin/dpoaf_cli.exe
-	sh tools/serve_check.sh
-
-# Serving-scale gate: a sharded daemon on both transports (Unix + TCP),
-# per-shard health rows, a short saturation sweep, and response
-# bit-identity across transports and shard counts.
-scale-check:
-	dune build bin/dpoaf_cli.exe
-	sh tools/scale_check.sh
-
 # Perf gate: one short untraced perfbench run per workload at seed 1,
 # compared with the pinned bench/perf_baseline.json, then a self-test
 # that the comparator fails, naming the metric, on a copy of the
@@ -120,21 +104,19 @@ perf-gate:
 	dune build bench/perf_gate.exe
 	sh tools/perf_gate.sh
 
-# Ops-plane gate: daemon with an event journal on a temp socket, stats
-# and health queried mid-load (JSON and Prometheus), and the journal
-# validated by `report --journal`.
-obs-check:
-	dune build bin/dpoaf_cli.exe
-	sh tools/obs_check.sh
-
-# Refinement gate: the offline must-repair case (>= 80% of the driving
-# pack's seeded defects improve within 3 rounds, harvested store
-# validates non-empty), then a daemon with --journal and --pref-store
-# under a refine-weighted loadgen mix: zero errors, serve.refine_round
-# events in the journal, and a valid harvested store after SIGTERM.
-refine-check:
-	dune build bin/dpoaf_cli.exe
-	sh tools/refine_check.sh
+# Daemon gate: test/daemon_gate.exe spawns the built dpoaf_cli for every
+# verb that talks to a daemon.  Offline, `refine` must repair >= 80% of the
+# driving pack's seeded defects into a valid non-empty store.  Boot A
+# (2 shards, Unix + TCP, --journal, --pref-store): zero-error loadgen
+# bursts (default and refine-weighted mix), stats/health over both
+# transports mid-load (JSON, Prometheus, per-shard rows, --format yaml
+# rejected), identical Unix and TCP dumps, a saturation sweep, then the
+# journal's events and the served store.  Boot B (1 shard, 2 workers): the
+# same dump, and a client that hangs up unread leaves it serving.  Every
+# SIGTERM must drain within 30 s, exit 0 and remove the socket.
+daemon-check:
+	dune build bin/dpoaf_cli.exe test/daemon_gate.exe
+	./_build/default/test/daemon_gate.exe
 
 # Domain-pack gate: every registered pack (dpoaf_cli domains) must clear
 # the static analysis gates and run verify -> finetune -> simulate

@@ -357,7 +357,7 @@ let synthesize_cmd =
    given response is refined for --task; without it, a seeded pool of
    repairable defects (careless final steps that actually violate specs)
    is built per task and every response is refined — the offline twin of
-   the serve-level refine verb, and what tools/refine_check.sh drives. *)
+   the serve-level refine verb, and what make daemon-check drives. *)
 let run_refine domain task_id steps seed rounds attempts scenario explain
     store_path =
   let corpus = Pipeline.Corpus.build ~domain () in
@@ -805,7 +805,7 @@ let run_report path =
 
 (* Summarize an event journal written by `serve --journal`.  Every line
    must parse and carry "ts"/"ev" — a malformed line is a hard error (exit
-   1), which is what lets tools/obs_check.sh use this command as a journal
+   1), which is what lets make daemon-check use this command as a journal
    validity check. *)
 let run_journal_report path =
   let module Json = Dpoaf_util.Json in
@@ -936,7 +936,7 @@ let run_journal_report path =
       end
 
 (* Validate and summarize a harvested preference store.  Any malformed
-   record is a hard error (exit 1) — tools/refine_check.sh relies on this
+   record is a hard error (exit 1) — make daemon-check relies on this
    command as the store validity check. *)
 let run_pref_store_report path =
   let module Pref_data = Dpoaf_dpo.Pref_data in

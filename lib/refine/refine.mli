@@ -155,4 +155,4 @@ val defect_pool :
     (non-[Good]) final steps per response, no observations — filtered to
     those actually violating at least one specification under [model]
     (default: universal).  The raw material for the repair benchmarks,
-    tests and [make refine-check]. *)
+    tests and [make daemon-check]. *)

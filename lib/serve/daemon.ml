@@ -121,7 +121,11 @@ let install_signal_handlers () =
         wake ())
   in
   (try Sys.set_signal Sys.sigint handle with Invalid_argument _ -> ());
-  try Sys.set_signal Sys.sigterm handle with Invalid_argument _ -> ()
+  (try Sys.set_signal Sys.sigterm handle with Invalid_argument _ -> ());
+  (* a write to a client that hung up must fail with EPIPE — which marks
+     that client dead — rather than kill the whole daemon *)
+  try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+  with Invalid_argument _ -> ()
 
 (* [push_out] runs on whichever domain completes the request; [responses]
    is therefore atomic while the other stats stay event-loop-private. *)

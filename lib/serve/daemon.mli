@@ -74,7 +74,8 @@ val run :
     until SIGINT or SIGTERM (or {!request_stop}), then drain every shard
     gracefully — every admitted request is answered and flushed before
     the socket file is removed.  Blocks the calling domain for the
-    daemon's lifetime.
+    daemon's lifetime.  SIGPIPE is ignored process-wide, so a client that
+    hangs up with responses outstanding is dropped, not fatal.
 
     [journal], when given, records [daemon.start]/[daemon.stop], one
     [serve.shard.up] per replica at startup, and per-line

@@ -80,8 +80,8 @@ val run : ?capture:(Protocol.response -> unit) -> config -> report
     @raise Unix.Unix_error if the endpoint cannot be connected. *)
 
 val print_report : report -> unit
-(** One machine-parsable [loadgen: k=v ...] line on stdout — what
-    [make serve-check] greps. *)
+(** One [loadgen: k=v ...] summary line on stdout, for a human at the
+    terminal; tools read {!report_json} ([loadgen --out]) instead. *)
 
 val report_json : report -> Dpoaf_util.Json.t
 (** The report as JSON ([{"schema":"dpoaf-loadgen/1",...}]): every counter

@@ -1782,6 +1782,34 @@ let test_daemon_outbox_bound () =
   in
   Alcotest.(check int) "one overflow counted" 1 stats.Daemon.outbox_overflows
 
+(* a client that pipelines a burst and hangs up without reading costs the
+   daemon that connection only: its writes fail with EPIPE instead of
+   SIGPIPE killing the process, and a second client is still served *)
+let test_daemon_client_disconnect () =
+  let server =
+    Server.create
+      ~config:{ Server.default_config with queue_capacity = 4096 }
+      ~handler:(fun _ -> P.verified ok_profile) ()
+  in
+  let (_ : Daemon.stats) =
+    with_daemon (Router.create [| server |]) (fun ~socket ~port:_ ->
+        let fd = connect_unix socket in
+        let oc = Unix.out_channel_of_descr fd in
+        for i = 1 to 2000 do
+          output_string oc
+            (P.request_to_string (verify_request (Printf.sprintf "gone%d" i)));
+          output_char oc '\n'
+        done;
+        flush oc;
+        Unix.close fd;
+        match roundtrip_over (connect_unix socket) [ verify_request "next" ] with
+        | [ line ] ->
+            Alcotest.(check bool) "a second client is served" true
+              (contains line {|"status":"ok"|})
+        | _ -> Alcotest.fail "expected one response")
+  in
+  ()
+
 let test_prompt_state_cache_transparent () =
   (* Repeated generations for one task hit the prompt-state cache, and the
      cache never changes a reply: a cold engine produces the same tokens. *)
@@ -2054,6 +2082,8 @@ let () =
           Alcotest.test_case "line length bound" `Quick test_daemon_line_bound;
           Alcotest.test_case "fuzzed batch" `Quick test_daemon_fuzzed_batch;
           Alcotest.test_case "outbox bound" `Quick test_daemon_outbox_bound;
+          Alcotest.test_case "client disconnect" `Quick
+            test_daemon_client_disconnect;
         ] );
       ( "engine",
         [
